@@ -24,6 +24,7 @@ from .infocalc import (
     conditional_mi,
     entropy,
     gauss_cut_rate,
+    gauss_cut_rates,
     gauss_logdet_general,
 )
 from .dm_bounds import (
@@ -47,6 +48,7 @@ from .gauss_bounds import (
     TwrcConfig,
     db_to_power,
     gap_certificate,
+    gauss_cut_bounds,
     gauss_cutset_outer,
     gauss_nnc_inner,
     irc_rates,
@@ -85,7 +87,9 @@ __all__ = [
     "enumerate_cutsets",
     "erasure_region",
     "gap_certificate",
+    "gauss_cut_bounds",
     "gauss_cut_rate",
+    "gauss_cut_rates",
     "gauss_cutset_outer",
     "gauss_logdet_general",
     "gauss_nnc_inner",

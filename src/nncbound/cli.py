@@ -47,8 +47,7 @@ from .gauss_bounds import (
     TwrcConfig,
     db_to_power,
     gap_certificate,
-    gauss_cutset_outer,
-    gauss_nnc_inner,
+    gauss_cut_bounds,
     irc_rates,
     twrc_rates,
 )
@@ -365,11 +364,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
             cuts = enumerate_cutsets(n, multicast=mc)
         else:
             cuts = enumerate_cutsets(n, dests=net.dests)
-        fn = gauss_nnc_inner if bound == "gauss_inner" else gauss_cutset_outer
+        cutsets = [s for s, _ in cuts]
         header = ["cut_mask", "cut_nodes", "raw", "clamped"]
         rows = []
-        for s, _ in cuts:
-            v = fn(net, s)
+        for s, (outer, inner) in zip(cutsets, gauss_cut_bounds(net, cutsets)):
+            v = inner if bound == "gauss_inner" else outer
             rows.append([s.mask, str(s), v, max(v, 0.0)])
 
     _write_csv(args.out, header, rows)
@@ -421,6 +420,8 @@ per-cut closed forms (S a cut, G its receiver-side gain block, P the power):
   inner_raw = (1/2) log2 det(I + (P/2) G G^T) - |S|/2
   budget    = |S|/2 + (min(|S|,|S^c|)/2) log2(2|S|)
 gap = outer - inner_raw; ok is false when gap > budget + 1e-9 (never expected).
+The log-det is evaluated once per cut, shared by outer and inner_raw, on the
+smaller Gram side: det(I + (P/2) G G^T) = det(I + (P/2) G^T G).
 """
 
 _EVAL_FORMULAS = """\

@@ -195,6 +195,12 @@ def load_network(path: str | Path) -> AnyNetwork:
                 f"{where}: outputs[{k - 1}] must have shape {tuple(x_sizes)} "
                 "(nested) or be a flat row-major list"
             )
+        # Integral floats such as 1.0 are exact; anything else would be
+        # truncated by the cast, so it is rejected instead.
+        if arr.dtype.kind not in "iuf" or (
+            arr.dtype.kind == "f" and not np.all(np.isfinite(arr) & (arr == np.round(arr)))
+        ):
+            raise SchemaError(f"{where}: outputs[{k - 1}] entries must be integers")
         tables.append(arr.astype(np.int64))
     return DeterministicNetwork(
         x_sizes, y_sizes, tuple(tables),

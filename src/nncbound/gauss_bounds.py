@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import EvaluationError, SchemaError
-from .infocalc import gauss_cut_rate
+from .infocalc import gauss_cut_rate, gauss_cut_rates
 from .netmodel import (
     GaussianNetwork,
     NodeSet,
@@ -59,26 +59,46 @@ def c_rate(x: float) -> float:
 # per-cut closed forms and the gap certificate
 
 
+def _allowance(s: int, sc: int) -> float:
+    """Correlation allowance of the relaxed outer bound: (min(s,sc)/2) log2(2s)."""
+    return (min(s, sc) / 2.0) * math.log2(2.0 * s)
+
+
+def _outer(flow: float, cut: NodeSet) -> float:
+    return flow + _allowance(len(cut), cut.n_nodes - len(cut))
+
+
+def _inner(flow: float, cut: NodeSet) -> float:
+    return flow - len(cut) / 2.0
+
+
 def cut_size_budget(cut: NodeSet) -> float:
     """Outer-minus-inner budget of a cut: |S|/2 + (min(|S|,|S^c|)/2) log2(2|S|)."""
     s = len(cut)
-    sc = len(cut.complement())
-    return s / 2.0 + (min(s, sc) / 2.0) * math.log2(2.0 * s)
+    return s / 2.0 + _allowance(s, cut.n_nodes - s)
 
 
 def gauss_cutset_outer(net: GaussianNetwork, cut: NodeSet) -> float:
-    """Cutset outer bound relaxed to a closed form: the half-power log-det
-    flow plus a correlation allowance of (min(|S|,|S^c|)/2) log2(2|S|)."""
-    s = len(cut)
-    sc = len(cut.complement())
-    return gauss_cut_rate(net, cut) + (min(s, sc) / 2.0) * math.log2(2.0 * s)
+    """Cutset outer bound relaxed to a closed form: the log-det flow of
+    ``gauss_cut_rate`` plus a correlation allowance of
+    (min(|S|,|S^c|)/2) log2(2|S|)."""
+    return _outer(gauss_cut_rate(net, cut), cut)
 
 
 def gauss_nnc_inner(net: GaussianNetwork, cut: NodeSet) -> float:
     """Achievable flow across a cut with unit-variance compression noise:
     the same log-det term minus |S|/2.  Returned raw (may be negative);
     clamping happens when regions are assembled."""
-    return gauss_cut_rate(net, cut) - len(cut) / 2.0
+    return _inner(gauss_cut_rate(net, cut), cut)
+
+
+def gauss_cut_bounds(
+    net: GaussianNetwork, cuts: Sequence[NodeSet]
+) -> list[tuple[float, float]]:
+    """``(gauss_cutset_outer, gauss_nnc_inner)`` of every cut, from one
+    batched log-det per cut."""
+    flows = gauss_cut_rates(net, cuts).tolist()
+    return [(_outer(f, cut), _inner(f, cut)) for cut, f in zip(cuts, flows)]
 
 
 @dataclass(frozen=True)
@@ -99,7 +119,8 @@ def gap_certificate(
     """Evaluate outer and raw inner values for every eligible cut and
     check the gap against the size-only budget.
 
-    The gap uses the raw (unclamped) inner value, for which the identity
+    Both values come from one log-det per cut.  The gap uses the raw
+    (unclamped) inner value, for which the identity
     ``outer - inner_raw == budget`` holds exactly up to rounding; ``ok``
     flags any cut where the gap exceeds budget + 1e-9 (which should never
     happen).
@@ -109,15 +130,14 @@ def gap_certificate(
         cuts = enumerate_cutsets(n, multicast=multicast)
     else:
         cuts = enumerate_cutsets(n, dests=net.dests)
+    if not cuts:
+        raise SchemaError("no cut has an eligible destination")
+    cutsets = [s for s, _ in cuts]
     entries = []
-    for s, _ in cuts:
-        outer = gauss_cutset_outer(net, s)
-        inner = gauss_nnc_inner(net, s)
+    for s, (outer, inner) in zip(cutsets, gauss_cut_bounds(net, cutsets)):
         gap = outer - inner
         budget = cut_size_budget(s)
         entries.append(GapEntry(s, outer, inner, gap, budget, gap <= budget + 1e-9))
-    if not entries:
-        raise SchemaError("no cut has an eligible destination")
     return tuple(entries)
 
 
@@ -248,8 +268,10 @@ class TwrcConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.d <= 1.0:
             raise SchemaError(f"relay position d={self.d!r} outside [0, 1]")
-        if self.gamma < 0:
-            raise SchemaError(f"path-loss exponent must be >= 0, got {self.gamma!r}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise SchemaError(
+                f"path-loss exponent gamma must be finite and >= 0, got {self.gamma!r}"
+            )
         if not (math.isfinite(self.power) and self.power >= 0):
             raise SchemaError(f"power must be finite and >= 0, got {self.power!r}")
 

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 import nncbound.cli as cli
+from nncbound.configio import load_network
 from nncbound.errors import EvaluationError
+from nncbound.gauss_bounds import gauss_cutset_outer, gauss_nnc_inner
+from nncbound.netmodel import NodeSet
 
 from helpers import rand_channel
 
@@ -102,6 +105,12 @@ class TestSweepCommands:
         t2, t3, best = float(row[1]), float(row[2]), float(row[3])
         assert best == pytest.approx(max(t2, t3))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_twrc_non_finite_gamma(self, capsys, bad):
+        code, out, err = run_cli(capsys, ["twrc-sweep", "--steps", "1", "--gamma", bad])
+        assert code == 2 and out == ""
+        assert "gamma" in err and "Traceback" not in err
+
     def test_unknown_scheme(self, capsys):
         code, _, err = run_cli(capsys, ["irc-sweep", "--schemes", "AF"])
         assert code == 2
@@ -119,6 +128,16 @@ class TestGapCheck:
         assert out2 == out1
         different = run_cli(capsys, argv[:-1] + ["6"])[1]
         assert different != out1
+
+    def test_random_mode_byte_identical_at_twelve_nodes(self, capsys):
+        argv = ["gap-check", "--random-n", "12", "--trials", "2", "--seed", "4"]
+        code, out1, err = run_cli(capsys, argv)
+        assert code == 0 and err == ""
+        rows = rows_of(out1)
+        assert len(rows) == 1 + 2 * (2**12 - 2) + 1
+        assert all(r[-1] == "true" for r in rows[1:])
+        code, out2, _ = run_cli(capsys, argv)
+        assert code == 0 and out2 == out1
 
     def test_file_mode(self, capsys, gauss_file):
         code, out, _ = run_cli(capsys, ["gap-check", "--network", gauss_file])
@@ -268,6 +287,32 @@ class TestEval:
         assert code == 0
         for ri, ro in zip(rows_of(inner)[1:], rows_of(outer)[1:]):
             assert float(ro[2]) > float(ri[2])
+
+    def test_gauss_bounds_match_per_cut_closed_forms(self, capsys, gauss_file):
+        net = load_network(gauss_file)
+        for bound, fn in (("gauss_inner", gauss_nnc_inner), ("gauss_outer", gauss_cutset_outer)):
+            code, out, _ = run_cli(
+                capsys, ["eval", "--bound", bound, "--network", gauss_file,
+                         "--multicast", "1,2,3"]
+            )
+            assert code == 0
+            rows = rows_of(out)[1:]
+            assert [int(r[0]) for r in rows] == list(range(1, 7))
+            for r in rows:
+                v = fn(net, NodeSet(3, int(r[0])))
+                assert r[2:] == [repr(v), repr(max(v, 0.0))]
+
+    def test_deterministic_non_integer_output_exits_two(self, capsys, tmp_path):
+        path = write_json(tmp_path, "det.json", {
+            "format": "deterministic",
+            "x_sizes": [2],
+            "y_sizes": [2],
+            "outputs": [[0, 0.5]],
+            "dests": [[1]],
+        })
+        code, _, err = run_cli(capsys, ["eval", "--bound", "deterministic", "--network", path])
+        assert code == 2
+        assert "outputs[0]" in err
 
     def test_bound_network_format_mismatch(self, capsys, gauss_file, relay_dm):
         code, _, err = run_cli(capsys, ["eval", "--bound", "thm2", "--network", gauss_file])

@@ -151,6 +151,30 @@ class TestLoadNetwork:
         assert net.outputs[0][0, 1] == 1
         assert net.outputs[1][1, 0] == 1
 
+    @pytest.mark.parametrize("bad", [0.5, "1", float("nan")])
+    def test_deterministic_non_integer_output_rejected(self, tmp_path, bad):
+        # a cast to int would silently turn 0.5 into 0
+        p = dump(tmp_path, "det.json", {
+            "format": "deterministic",
+            "x_sizes": [2, 2],
+            "y_sizes": [2, 2],
+            "outputs": [[0, 1, 1, 0], [[0, 0], [bad, 1]]],
+            "dests": [[2], [1]],
+        })
+        with pytest.raises(SchemaError, match=r"outputs\[1\] entries must be integers"):
+            load_network(p)
+
+    def test_deterministic_integral_float_output_accepted(self, tmp_path):
+        p = dump(tmp_path, "det.json", {
+            "format": "deterministic",
+            "x_sizes": [2],
+            "y_sizes": [2],
+            "outputs": [[1.0, 0.0]],
+            "dests": [[1]],
+        })
+        net = load_network(p)
+        assert net.outputs[0].tolist() == [1, 0]
+
     def test_unknown_format(self, tmp_path):
         p = dump(tmp_path, "x.json", {"format": "quantum"})
         with pytest.raises(SchemaError, match="unknown format"):

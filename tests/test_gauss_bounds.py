@@ -13,6 +13,7 @@ from nncbound.gauss_bounds import (
     cut_size_budget,
     db_to_power,
     gap_certificate,
+    gauss_cut_bounds,
     gauss_cutset_outer,
     gauss_nnc_inner,
     irc_rates,
@@ -89,6 +90,18 @@ class TestGapIdentity:
             assert e.gap == pytest.approx(e.budget, abs=1e-12)
             assert e.gap == pytest.approx(e.outer - e.inner_raw, abs=1e-15)
             assert e.ok
+
+    def test_certificate_matches_per_cut_closed_forms_exactly(self):
+        rng = np.random.default_rng(25)
+        net = rand_gauss_net(rng, 6, 10.0)
+        cert = gap_certificate(net)
+        cuts = [e.cutset for e in cert]
+        assert gauss_cut_bounds(net, cuts) == [(e.outer, e.inner_raw) for e in cert]
+        for e in cert:
+            assert e.outer == gauss_cutset_outer(net, e.cutset)
+            assert e.inner_raw == gauss_nnc_inner(net, e.cutset)
+            assert e.gap == e.outer - e.inner_raw
+            assert e.budget == cut_size_budget(e.cutset)
 
     def test_certificate_multicast_restricts_cuts(self):
         rng = np.random.default_rng(24)
@@ -180,8 +193,9 @@ class TestTwrc:
         for bad in (-0.1, 1.5):
             with pytest.raises(SchemaError):
                 TwrcConfig(d=bad, gamma=3.0, power=10.0)
-        with pytest.raises(SchemaError):
-            TwrcConfig(d=0.3, gamma=-1.0, power=10.0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(SchemaError, match="gamma"):
+                TwrcConfig(d=0.3, gamma=bad, power=10.0)
         with pytest.raises(SchemaError):
             TwrcConfig(d=0.3, gamma=3.0, power=-2.0)
 

@@ -14,6 +14,7 @@ from nncbound.infocalc import (
     copy_compression,
     entropy,
     gauss_cut_rate,
+    gauss_cut_rates,
     gauss_logdet_general,
     joint_from_inputs,
     joint_with_product_inputs,
@@ -370,6 +371,32 @@ class TestGaussLogdet:
         with pytest.raises(EvaluationError):
             gauss_logdet_general(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(27)
+        a = rng.normal(size=(5, 3, 3))
+        stack = a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(3)
+        got = gauss_logdet_general(stack)
+        assert isinstance(got, np.ndarray) and got.shape == (5,)
+        for m, v in zip(stack, got):
+            assert isinstance(gauss_logdet_general(m), float)
+            assert v == gauss_logdet_general(m)
+        assert gauss_logdet_general(stack.reshape(5, 1, 3, 3)).shape == (5, 1)
+
+    def test_stack_with_one_asymmetric_matrix_rejected(self):
+        stack = np.stack([np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2)])
+        with pytest.raises(SchemaError, match="not symmetric"):
+            gauss_logdet_general(stack)
+
+    def test_stack_with_one_indefinite_matrix_rejected(self):
+        stack = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2)])
+        with pytest.raises(EvaluationError, match="not positive definite"):
+            gauss_logdet_general(stack)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(SchemaError, match="square"):
+            gauss_logdet_general(np.ones(shape))
+
 
 class TestGaussCutRate:
     def _net(self, gains, power=4.0):
@@ -414,3 +441,70 @@ class TestGaussCutRate:
         net = self._net(np.zeros((3, 3)))
         with pytest.raises(SchemaError):
             gauss_cut_rate(net, NodeSet.of(4, 1))
+
+
+def _all_cuts(n):
+    return [NodeSet(n, mask) for mask in range(1, 2**n - 1)]
+
+
+def _receiver_side_flow(gains, power, cut):
+    """Independent oracle: slogdet of I + (P/2) G G^T with G the
+    receiver-side block (receivers outside the cut, senders inside)."""
+    s = [k - 1 for k in cut]
+    c = [k - 1 for k in cut.complement()]
+    g = gains[np.ix_(s, c)].T
+    sign, logdet = np.linalg.slogdet(np.eye(len(c)) + (power / 2.0) * (g @ g.T))
+    assert sign > 0
+    return 0.5 * logdet / math.log(2.0)
+
+
+class TestGaussCutRates:
+    def _net(self, rng, n, power):
+        g = rng.normal(size=(n, n))
+        np.fill_diagonal(g, 0.0)
+        return GaussianNetwork(g, power, tuple(NodeSet.full(n) for _ in range(n)))
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 12])
+    def test_every_cut_matches_receiver_side_slogdet(self, n):
+        rng = np.random.default_rng(28 + n)
+        net = self._net(rng, n, 10.0)
+        cuts = _all_cuts(n)
+        got = gauss_cut_rates(net, cuts)
+        assert got.shape == (len(cuts),)
+        sides = set()
+        for cut, v in zip(cuts, got):
+            want = _receiver_side_flow(net.gains, net.power, cut)
+            assert abs(v - want) <= 1e-12 * abs(want)
+            sides.add(np.sign(len(cut) - (n - len(cut))))
+        # cuts smaller than, equal to and larger than their complement all
+        # occur where n allows, so every Gram side is exercised
+        assert sides == ({0} if n == 2 else {-1, 0, 1} if n % 2 == 0 else {-1, 1})
+
+    def test_single_cut_equals_batched_entry_exactly(self):
+        rng = np.random.default_rng(29)
+        net = self._net(rng, 7, 3.0)
+        cuts = _all_cuts(7)
+        batched = gauss_cut_rates(net, cuts)
+        for cut, v in zip(cuts, batched):
+            assert gauss_cut_rate(net, cut) == v
+
+    def test_order_and_batch_split_do_not_change_values(self):
+        # at 12 nodes the 924 cuts of size 6 span several stacked batches
+        rng = np.random.default_rng(30)
+        net = self._net(rng, 12, 10.0)
+        cuts = _all_cuts(12)
+        base = gauss_cut_rates(net, cuts)
+        perm = rng.permutation(len(cuts))
+        shuffled = gauss_cut_rates(net, [cuts[i] for i in perm])
+        np.testing.assert_array_equal(shuffled, base[perm])
+
+    def test_no_cuts_gives_empty_array(self):
+        net = self._net(np.random.default_rng(31), 3, 1.0)
+        assert gauss_cut_rates(net, []).shape == (0,)
+
+    def test_any_improper_cut_rejected(self):
+        net = self._net(np.random.default_rng(32), 3, 1.0)
+        with pytest.raises(SchemaError, match="nonempty proper subset"):
+            gauss_cut_rates(net, [NodeSet.of(3, 1), NodeSet.full(3)])
+        with pytest.raises(SchemaError, match="universe"):
+            gauss_cut_rates(net, [NodeSet.of(3, 1), NodeSet.of(4, 1)])
