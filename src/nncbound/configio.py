@@ -27,7 +27,12 @@ from .dm_bounds import (
     NoiselessNetwork,
 )
 from .errors import SchemaError
-from .infocalc import CodingDistribution, copy_compression, uniform_inputs
+from .infocalc import (
+    CodingDistribution,
+    copy_compression,
+    input_product,
+    uniform_inputs,
+)
 from .netmodel import DmNetwork, GaussianNetwork, NodeSet
 
 NETWORK_FORMATS = ("gaussian", "dm", "noiseless", "erasure", "deterministic")
@@ -86,6 +91,29 @@ def _normalize_rows(arr: np.ndarray, what: str) -> np.ndarray:
     return (flat / sums[:, None]).reshape(arr.shape)
 
 
+def _sizes(data: dict[str, Any], key: str, where: str) -> tuple[int, ...]:
+    """Alphabet sizes: a list of integers >= 1 (integral floats such as 2.0
+    are exact and accepted; booleans, fractions and strings are not)."""
+    value = _need(data, key, where)
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: {key!r} must be a list of alphabet sizes")
+    out = []
+    for k, s in enumerate(value):
+        integral = (isinstance(s, int) and not isinstance(s, bool)) or (
+            isinstance(s, float) and s.is_integer()
+        )
+        if not integral or s < 1:
+            raise SchemaError(f"{where}: {key}[{k}] must be an integer >= 1, got {s!r}")
+        out.append(int(s))
+    return tuple(out)
+
+
+def _has_bool(value: Any) -> bool:
+    if isinstance(value, list):
+        return any(_has_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 def _dest_sets(value: Any, n: int, where: str) -> tuple[NodeSet, ...]:
     if not isinstance(value, list) or len(value) != n:
         raise SchemaError(f"{where}: 'dests' must list one node array per node")
@@ -131,8 +159,8 @@ def load_network(path: str | Path) -> AnyNetwork:
         )
 
     if fmt == "dm":
-        x_sizes = tuple(int(s) for s in _need(data, "x_sizes", where))
-        y_sizes = tuple(int(s) for s in _need(data, "y_sizes", where))
+        x_sizes = _sizes(data, "x_sizes", where)
+        y_sizes = _sizes(data, "y_sizes", where)
         n = len(x_sizes)
         chan = _tensor(
             _need(data, "channel", where), x_sizes + y_sizes, f"{where}: channel"
@@ -162,7 +190,7 @@ def load_network(path: str | Path) -> AnyNetwork:
         )
 
     if fmt == "erasure":
-        x_sizes = tuple(int(s) for s in _need(data, "x_sizes", where))
+        x_sizes = _sizes(data, "x_sizes", where)
         n = len(x_sizes)
         dests = _dest_sets(_need(data, "dests", where), n, where)
         if ("link_erasure" in data) == ("all_erased" in data):
@@ -182,11 +210,14 @@ def load_network(path: str | Path) -> AnyNetwork:
         return ErasureNetwork(x_sizes, dests, all_erased=table)
 
     # deterministic
-    x_sizes = tuple(int(s) for s in _need(data, "x_sizes", where))
-    y_sizes = tuple(int(s) for s in _need(data, "y_sizes", where))
+    x_sizes = _sizes(data, "x_sizes", where)
+    y_sizes = _sizes(data, "y_sizes", where)
     n = len(x_sizes)
     tables = []
     for k, value in enumerate(_need(data, "outputs", where), start=1):
+        # numpy would upcast a JSON true in an integer row to 1.
+        if _has_bool(value):
+            raise SchemaError(f"{where}: outputs[{k - 1}] entries must be integers")
         arr = np.asarray(value)
         if arr.ndim == 1 and arr.size == math.prod(x_sizes):
             arr = arr.reshape(x_sizes)
@@ -327,16 +358,4 @@ def load_input_family(
     dist = load_distribution(path, net)
     if dist.superposition:
         raise SchemaError(f"{where}: outer-bound inputs must be a plain design")
-    family = []
-    for iq in range(dist.nq):
-        pmf = np.ones(shape)
-        for k in range(net.n_nodes):
-            pmf *= _spread_axis(dist.input_pmfs[k][iq], k, net.n_nodes)
-        family.append(pmf)
-    return family
-
-
-def _spread_axis(vec: np.ndarray, axis: int, ndim: int) -> np.ndarray:
-    shape = [1] * ndim
-    shape[axis] = vec.size
-    return vec.reshape(shape)
+    return list(input_product(dist.input_pmfs))

@@ -27,11 +27,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import EvaluationError, SchemaError
 from .infocalc import (
     CodingDistribution,
     EntropyCache,
     assemble_joint,
+    channel_factor,
     joint_from_inputs,
     joint_with_product_inputs,
     q_label,
@@ -273,8 +274,19 @@ class DeterministicNetwork:
 # compress-and-forward inner bounds
 
 
+def _cmi_at(cache: EntropyCache, a, b, c, bound: str, cut: NodeSet, **where) -> float:
+    """``cache.cmi(a, b, c)``; an inconsistent value names the bound, the
+    cut and ``where`` (destination, rate set, ...) it came from."""
+    try:
+        return cache.cmi(a, b, c)
+    except EvaluationError as exc:
+        at = "".join(f", {k.replace('_', ' ')} {v}" for k, v in where.items())
+        raise EvaluationError(f"{bound}: cut {cut} (mask {cut.mask}){at}: {exc}") from exc
+
+
 def _nnc_entries(
     cache: EntropyCache,
+    bound: str,
     n: int,
     cuts: Sequence[tuple[NodeSet, NodeSet]],
 ) -> tuple[CutsetEntry, ...]:
@@ -284,15 +296,19 @@ def _nnc_entries(
     for s, eligible in cuts:
         sc = s.complement()
         for d in eligible:
-            flow = cache.cmi(
+            flow = _cmi_at(
+                cache,
                 x_labels(s),
                 yhat_labels(sc) + [y_label(d)],
                 x_labels(sc) + [q_label()],
+                bound, s, destination=d,
             )
-            penalty = cache.cmi(
+            penalty = _cmi_at(
+                cache,
                 y_labels(s),
                 yhat_labels(s),
                 all_x + yhat_labels(sc) + [y_label(d), q_label()],
+                bound, s, destination=d,
             )
             raw = flow - penalty
             entries.append(
@@ -319,7 +335,7 @@ def nnc_multicast_bound(
     joint = assemble_joint(net, dist)
     cache = EntropyCache(joint)
     cuts = enumerate_cutsets(net.n_nodes, multicast=multicast)
-    return CutsetReport("thm1", _nnc_entries(cache, net.n_nodes, cuts))
+    return CutsetReport("thm1", _nnc_entries(cache, "thm1", net.n_nodes, cuts))
 
 
 def nnc_theorem2_bound(net: DmNetwork, dist: CodingDistribution) -> CutsetReport:
@@ -335,7 +351,7 @@ def nnc_theorem2_bound(net: DmNetwork, dist: CodingDistribution) -> CutsetReport
     joint = assemble_joint(net, dist)
     cache = EntropyCache(joint)
     cuts = enumerate_cutsets(net.n_nodes, dests=net.dests)
-    return CutsetReport("thm2", _nnc_entries(cache, net.n_nodes, cuts))
+    return CutsetReport("thm2", _nnc_entries(cache, "thm2", net.n_nodes, cuts))
 
 
 def _sources_for_dest(net: DmNetwork, d: int) -> NodeSet:
@@ -371,18 +387,22 @@ def nnc_theorem3_bound(net: DmNetwork, dist: CodingDistribution) -> CutsetReport
             hi = senders.remove(d) if d in senders else senders
             for t in subsets_between(lo, hi):
                 tc = senders - t
-                flow = cache.cmi(
+                flow = _cmi_at(
+                    cache,
                     x_labels(t) + u_labels(s),
                     yhat_labels(sc) + [y_label(d)],
                     x_labels(tc) + u_labels(sc) + [q_label()],
+                    "thm3", s, destination=d, rate_set=t,
                 )
-                penalty = cache.cmi(
+                penalty = _cmi_at(
+                    cache,
                     y_labels(s),
                     yhat_labels(s),
                     x_labels(senders)
                     + u_labels(all_nodes)
                     + yhat_labels(sc)
                     + [y_label(d), q_label()],
+                    "thm3", s, destination=d, rate_set=t,
                 )
                 raw = flow - penalty
                 entries.append(
@@ -447,12 +467,18 @@ def cutset_outer_bound(
     else:
         cuts = enumerate_cutsets(n, dests=net.dests)
 
+    # One channel factor for the whole family, so its partial reductions
+    # are computed once per call and freed when the call returns.
+    channel = channel_factor(net)
     best: dict[int, float] = {}
-    for pmf in family:
-        cache = EntropyCache(joint_from_inputs(net, pmf))
-        for s, _ in cuts:
+    for i, pmf in enumerate(family):
+        cache = EntropyCache(joint_from_inputs(net, pmf, channel))
+        for s, eligible in cuts:
             sc = s.complement()
-            val = cache.cmi(x_labels(s), y_labels(sc), x_labels(sc))
+            val = _cmi_at(
+                cache, x_labels(s), y_labels(sc), x_labels(sc),
+                "cutset", s, destinations=eligible, input=i,
+            )
             if s.mask not in best or val > best[s.mask]:
                 best[s.mask] = val
     entries = []

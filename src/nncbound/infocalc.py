@@ -9,8 +9,11 @@ single assembled joint pmf over variables named by role:
 * ``Yk`` — channel output at node k,
 * ``Yhk`` — the compressed description of ``Yk`` forwarded by node k.
 
-A joint is a dense numpy tensor with one axis per label.  Conditional
-mutual information is computed from four entropies,
+A joint is a factor list: validated conditional pmfs whose product is
+the joint, which is never formed.  Each marginal is contracted on demand
+from the factors it needs (barren-node elimination, then one einsum), and
+``MAX_STATES`` caps each factor and each marginal.  Conditional mutual
+information is computed from four entropies,
 I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C), all in bits.
 
 The Gaussian helpers at the bottom compute the log-det rates of cuts for
@@ -21,11 +24,10 @@ size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import EvaluationError, SchemaError
 from .netmodel import MAX_STATES, DmNetwork, GaussianNetwork, NodeSet
@@ -73,54 +75,180 @@ def yhat_labels(nodes: Iterable[int]) -> list[str]:
     return [yhat_label(k) for k in nodes]
 
 
-@dataclass(frozen=True)
-class JointDistribution:
-    """Dense joint pmf with one named axis per variable.
+@dataclass(frozen=True, eq=False)
+class Factor:
+    """One conditional pmf p(children | parents) of a joint.
 
-    Entries must be nonnegative and sum to 1 within 1e-10; the total state
-    count is capped so a bad configuration fails fast instead of
-    exhausting memory.
+    ``array`` has one axis per entry of ``labels``; the labels not in
+    ``children`` are the parents.  Entries must be nonnegative and, for
+    every parent configuration, sum to 1 over the children within 1e-10.
+    Sums over subsets of the children are memoized on the factor, so
+    joints that share a factor object share its partial reductions, and
+    they are freed with it.
     """
 
+    array: np.ndarray
     labels: tuple[str, ...]
-    probs: np.ndarray
+    children: frozenset[str]
+    _sums: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "children", frozenset(self.children))
+        arr = self.array
+        if len(set(labels)) != len(labels):
+            raise SchemaError(f"factor labels {list(labels)} must be unique")
+        if arr.ndim != len(labels):
+            raise SchemaError(f"{len(labels)} labels but tensor has {arr.ndim} axes")
+        if not self.children or not self.children <= set(labels):
+            raise SchemaError(
+                f"factor children {sorted(self.children)} must be a nonempty "
+                f"subset of its labels {list(labels)}"
+            )
+        if arr.size > MAX_STATES:
+            raise SchemaError(f"factor state count {arr.size} exceeds limit {MAX_STATES}")
+        if np.any(arr < 0):
+            raise SchemaError("joint distribution has negative entries")
+        axes = tuple(i for i, lab in enumerate(labels) if lab in self.children)
+        sums = arr.sum(axis=axes)
+        bad = np.abs(sums - 1.0) > 1e-10
+        if np.any(bad):
+            what = "joint distribution" if sums.ndim == 0 else f"factor over {list(labels)}"
+            raise SchemaError(f"{what} sums to {sums[bad].flat[0]!r}, not 1")
+
+    def summed(self, drop: frozenset[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+        """This factor summed over the children in ``drop`` (memoized)."""
+        if not drop:
+            return self.array, self.labels
+        if drop not in self._sums:
+            axes = tuple(i for i, lab in enumerate(self.labels) if lab in drop)
+            self._sums[drop] = (
+                self.array.sum(axis=axes),
+                tuple(lab for lab in self.labels if lab not in drop),
+            )
+        return self._sums[drop]
+
+
+# np.einsum names axes with single letters, upper and lower case.
+_EINSUM_AXES = 52
+# A contraction whose variables span at most this many states runs as one
+# unplanned einsum pass: below about 2^14 states the pass is cheaper than
+# planning a pairwise order (about 1 ms per marginal).
+_DIRECT_STATES = 1 << 14
+
+
+class JointDistribution:
+    """Joint pmf over named variables, held as a product of factors.
+
+    ``JointDistribution(labels, probs)`` is a dense joint: one factor
+    whose children are all its labels.  ``JointDistribution(labels,
+    factors=...)`` is a Bayesian network: the factors come in topological
+    order (each factor's parents are children of earlier factors) and
+    every label is a child of exactly one factor.  No dense product is
+    ever formed; ``marginal`` contracts what it needs, and ``probs`` is the
+    marginal over all labels.  ``MAX_STATES`` caps each stored factor and
+    each contracted marginal, not the product of all factors.
+    """
+
+    def __init__(
+        self,
+        labels: Sequence[str],
+        probs: np.ndarray | None = None,
+        *,
+        factors: Sequence[Factor] = (),
+    ):
+        labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise SchemaError("joint distribution labels must be unique")
-        if self.probs.ndim != len(labels):
+        if probs is not None:
+            if factors:
+                raise SchemaError("give a dense tensor or factors, not both")
+            factors = (Factor(np.asarray(probs), labels, frozenset(labels)),)
+        cards: dict[str, int] = {}
+        for f in factors:
+            for lab, size in zip(f.labels, f.array.shape):
+                if lab not in f.children and lab not in cards:
+                    raise SchemaError(
+                        f"factor over {list(f.labels)}: parent {lab!r} is not "
+                        "a child of an earlier factor"
+                    )
+                if lab in f.children and lab in cards:
+                    raise SchemaError(f"variable {lab!r} is a child of two factors")
+                if cards.setdefault(lab, size) != size:
+                    raise SchemaError(
+                        f"variable {lab!r} has size {size} in one factor and "
+                        f"{cards[lab]} in another"
+                    )
+        if set(cards) != set(labels):
             raise SchemaError(
-                f"{len(labels)} labels but tensor has {self.probs.ndim} axes"
+                f"factors cover {sorted(cards)}, joint labels are {sorted(labels)}"
             )
-        if self.probs.size > MAX_STATES:
-            raise SchemaError(
-                f"joint state count {self.probs.size} exceeds limit {MAX_STATES}"
-            )
-        if np.any(self.probs < 0):
-            raise SchemaError("joint distribution has negative entries")
-        total = float(self.probs.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise SchemaError(f"joint distribution sums to {total!r}, not 1")
-        object.__setattr__(
-            self, "_axis", {lab: i for i, lab in enumerate(labels)}
-        )
+        self.labels = labels
+        self.factors = tuple(factors)
+        self._axis = {lab: i for i, lab in enumerate(labels)}
+        self._card = cards
 
     def axis(self, label: str) -> int:
         try:
-            return self._axis[label]  # type: ignore[attr-defined]
+            return self._axis[label]
         except KeyError:
             raise SchemaError(f"unknown variable label {label!r}") from None
 
     def card(self, label: str) -> int:
-        return int(self.probs.shape[self.axis(label)])
+        self.axis(label)
+        return self._card[label]
+
+    @property
+    def probs(self) -> np.ndarray:
+        """The dense joint tensor, contracted on each access."""
+        return self.marginal(self.labels)
 
     def marginal(self, labels: Iterable[str]) -> np.ndarray:
-        """Marginal pmf over ``labels``, axes in this joint's label order."""
-        keep = sorted(self.axis(lab) for lab in labels)
-        drop = tuple(i for i in range(self.probs.ndim) if i not in keep)
-        return self.probs.sum(axis=drop)
+        """Marginal pmf over ``labels``, axes in this joint's label order.
+
+        Barren-node elimination first: walking the factors backwards, a
+        factor none of whose children is kept or read by a factor still
+        in play sums to 1 and is dropped; a factor with only some such
+        children is summed over them.  The rest is one einsum, planned
+        greedily unless its variables span at most ``_DIRECT_STATES``.
+        """
+        keep = set(labels)
+        for lab in keep:
+            self.axis(lab)  # raises on unknown labels
+        out = [lab for lab in self.labels if lab in keep]
+        states = math.prod(self._card[lab] for lab in out)
+        if states > MAX_STATES:
+            raise SchemaError(
+                f"marginal state count {states} exceeds limit {MAX_STATES}"
+            )
+        needed = set(keep)
+        operands = []
+        for f in reversed(self.factors):
+            if not f.children & needed:
+                continue
+            arr, labs = f.summed(f.children - needed)
+            needed.update(labs)
+            operands.append((arr, labs))
+        if not operands:
+            return np.ones(())
+        # Size-1 axes carry no information; leaving them out keeps large
+        # networks with trivial alphabets within einsum's axis limit.
+        ids: dict[str, int] = {}
+        args: list = []
+        for arr, labs in operands:
+            live = [lab for lab in labs if self._card[lab] > 1]
+            args += [arr.reshape([self._card[lab] for lab in live]),
+                     [ids.setdefault(lab, len(ids)) for lab in live]]
+        if len(ids) > _EINSUM_AXES:
+            raise SchemaError(
+                f"marginal needs {len(ids)} variables with more than one state; "
+                f"the limit is {_EINSUM_AXES}"
+            )
+        args.append([ids[lab] for lab in out if self._card[lab] > 1])
+        direct = math.prod(self._card[lab] for lab in ids) <= _DIRECT_STATES
+        m = np.einsum(*args, optimize=False if direct else "greedy")
+        return m.reshape([self._card[lab] for lab in out])
 
 
 def entropy(joint: JointDistribution, labels: Iterable[str]) -> float:
@@ -128,8 +256,9 @@ def entropy(joint: JointDistribution, labels: Iterable[str]) -> float:
     labels = list(labels)
     if not labels:
         return 0.0
-    m = joint.marginal(labels)
-    return float(-xlogy(m, m).sum() / _LN2)
+    p = joint.marginal(labels).ravel()
+    p = p[p > 0]
+    return float(-np.dot(p, np.log(p)) / _LN2)
 
 
 class EntropyCache:
@@ -307,29 +436,59 @@ def constant_compression(net: DmNetwork, nq: int = 1) -> tuple[np.ndarray, ...]:
     )
 
 
-def _spread(arr: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray:
-    """View of ``arr`` broadcastable over a tensor of rank ``ndim``.
+def input_product(pmfs: Sequence[np.ndarray]) -> np.ndarray:
+    """Product of per-node input pmfs that share a leading |Q| axis.
 
-    ``axes[i]`` is the global axis where arr's axis i lives; global axes
-    need not be in arr's order.
+    ``pmfs[k]`` has shape (|Q|, ...) and gives p(a_k | q) over its
+    trailing axes; the result has shape (|Q|, *trailing axes of node 1,
+    *trailing axes of node 2, ...) and gives prod_k p(a_k | q).
     """
-    order = np.argsort(axes)
-    arr = np.transpose(arr, order)
-    shape = [1] * ndim
-    for pos, size in zip(sorted(axes), arr.shape):
-        shape[pos] = size
-    return arr.reshape(shape)
+    nq = int(pmfs[0].shape[0])
+    sizes = [s for p in pmfs for s in p.shape[1:]]
+    states = nq * math.prod(sizes)
+    if states > MAX_STATES:
+        raise SchemaError(f"input state count {states} exceeds limit {MAX_STATES}")
+    out = np.ones(nq)
+    for p in pmfs:
+        tail = p.ndim - 1
+        out = out.reshape(out.shape + (1,) * tail) * p.reshape(
+            (nq,) + (1,) * (out.ndim - 1) + p.shape[1:]
+        )
+    return out
+
+
+def channel_factor(net: DmNetwork) -> Factor:
+    """The channel p(y^N | x^N) as a factor.
+
+    Joints built on the same factor object share its partial reductions.
+    """
+    nodes = range(1, net.n_nodes + 1)
+    return Factor(
+        net.channel, tuple(x_labels(nodes) + y_labels(nodes)), frozenset(y_labels(nodes))
+    )
+
+
+def _inputs_factor(
+    q_pmf: np.ndarray, input_pmfs: Sequence[np.ndarray], superposition: bool = False
+) -> Factor:
+    """p(q, [u^N,] x^N) = p(q) prod_k p([u_k,] x_k | q) as one factor."""
+    labels = [q_label()]
+    for k in range(1, len(input_pmfs) + 1):
+        labels += [u_label(k), x_label(k)] if superposition else [x_label(k)]
+    arr = input_product(input_pmfs)
+    arr *= q_pmf.reshape((-1,) + (1,) * (arr.ndim - 1))
+    return Factor(arr, tuple(labels), frozenset(labels))
 
 
 def assemble_joint(
     net: DmNetwork, dist: CodingDistribution
 ) -> JointDistribution:
-    """Build the full joint over (Q, [U,] X, Y, Yh) for a code design.
+    """The joint over (Q, [U,] X, Y, Yh) of a code design, as factors.
 
-    The joint factorizes as p(q) * prod_k p(inputs_k|q) * channel *
-    prod_k p(yh_k | y_k, ., q); this routine multiplies the factors into
-    one dense tensor.  Axis order is Q, then per-node U (superposition
-    only), X, Y, Yh blocks, nodes ascending within each block.
+    p(q) * prod_k p(inputs_k|q) is folded into one input factor, followed
+    by the channel p(y^N|x^N) and one compressor p(yh_k | y_k, x_k or u_k,
+    q) per node.  Label order is Q, then per-node U (superposition only),
+    X, Y, Yh blocks, nodes ascending within each block.
     """
     n = net.n_nodes
     if dist.n_nodes != n:
@@ -364,64 +523,45 @@ def assemble_joint(
 
     nodes = range(1, n + 1)
     labels = [q_label()]
-    sizes = [dist.nq]
     if dist.superposition:
         labels += u_labels(nodes)
-        sizes += [int(p.shape[1]) for p in dist.input_pmfs]
     labels += x_labels(nodes) + y_labels(nodes) + yhat_labels(nodes)
-    sizes += list(net.x_sizes) + list(net.y_sizes) + list(dist.yhat_sizes)
-
-    total = math.prod(sizes)
-    if total > MAX_STATES:
-        raise SchemaError(f"joint state count {total} exceeds limit {MAX_STATES}")
-
-    ax = {lab: i for i, lab in enumerate(labels)}
-    ndim = len(labels)
-    probs = np.ones(sizes)
-    probs *= _spread(dist.q_pmf, [ax[q_label()]], ndim)
-    for k in range(1, n + 1):
-        if dist.superposition:
-            probs *= _spread(
-                dist.input_pmfs[k - 1],
-                [ax[q_label()], ax[u_label(k)], ax[x_label(k)]],
-                ndim,
-            )
-            probs *= _spread(
+    mid_label = u_label if dist.superposition else x_label
+    factors = [
+        _inputs_factor(dist.q_pmf, dist.input_pmfs, dist.superposition),
+        channel_factor(net),
+    ]
+    for k in nodes:
+        factors.append(
+            Factor(
                 dist.compression[k - 1],
-                [ax[q_label()], ax[y_label(k)], ax[u_label(k)], ax[yhat_label(k)]],
-                ndim,
+                (q_label(), y_label(k), mid_label(k), yhat_label(k)),
+                frozenset([yhat_label(k)]),
             )
-        else:
-            probs *= _spread(
-                dist.input_pmfs[k - 1],
-                [ax[q_label()], ax[x_label(k)]],
-                ndim,
-            )
-            probs *= _spread(
-                dist.compression[k - 1],
-                [ax[q_label()], ax[y_label(k)], ax[x_label(k)], ax[yhat_label(k)]],
-                ndim,
-            )
-    chan_axes = [ax[x_label(k)] for k in nodes] + [ax[y_label(k)] for k in nodes]
-    probs *= _spread(net.channel, chan_axes, ndim)
-    return JointDistribution(tuple(labels), probs)
+        )
+    return JointDistribution(labels, factors=factors)
 
 
-def joint_from_inputs(net: DmNetwork, x_pmf: np.ndarray) -> JointDistribution:
+def joint_from_inputs(
+    net: DmNetwork, x_pmf: np.ndarray, channel: Factor | None = None
+) -> JointDistribution:
     """Joint over (X^N, Y^N) for an arbitrary — possibly correlated —
-    input distribution ``x_pmf`` of shape ``net.x_sizes``."""
+    input distribution ``x_pmf`` of shape ``net.x_sizes``.
+
+    ``channel`` is ``channel_factor(net)``, given to share its partial
+    reductions across the joints of one input family.
+    """
     if x_pmf.shape != tuple(net.x_sizes):
         raise SchemaError(
             f"input pmf shape {x_pmf.shape} != network inputs {tuple(net.x_sizes)}"
         )
     _check_rows(x_pmf.reshape(1, -1), "joint input pmf")
-    n = net.n_nodes
-    nodes = range(1, n + 1)
-    labels = tuple(x_labels(nodes) + y_labels(nodes))
-    probs = net.channel * _spread(
-        x_pmf, list(range(n)), 2 * n
-    )
-    return JointDistribution(labels, probs)
+    nodes = range(1, net.n_nodes + 1)
+    xs = x_labels(nodes)
+    if channel is None:
+        channel = channel_factor(net)
+    factors = [Factor(x_pmf, tuple(xs), frozenset(xs)), channel]
+    return JointDistribution(xs + y_labels(nodes), factors=factors)
 
 
 def joint_with_product_inputs(
@@ -432,14 +572,8 @@ def joint_with_product_inputs(
     _check_rows(q[None, :], "q_pmf")
     if len(input_pmfs) != net.n_nodes:
         raise SchemaError("need one input pmf per node")
-    n = net.n_nodes
-    nodes = range(1, n + 1)
-    labels = tuple([q_label()] + x_labels(nodes) + y_labels(nodes))
-    sizes = [q.size] + list(net.x_sizes) + list(net.y_sizes)
-    ndim = len(sizes)
-    probs = np.ones(sizes)
-    probs *= _spread(q, [0], ndim)
-    for k in range(1, n + 1):
+    pmfs = []
+    for k in range(1, net.n_nodes + 1):
         arr = np.asarray(input_pmfs[k - 1], dtype=float)
         if arr.shape != (q.size, net.x_sizes[k - 1]):
             raise SchemaError(
@@ -447,10 +581,11 @@ def joint_with_product_inputs(
                 f"{(q.size, net.x_sizes[k - 1])}, got {arr.shape}"
             )
         _check_rows(arr, f"input pmf for node {k}")
-        probs *= _spread(arr, [0, k], ndim)
-    chan_axes = list(range(1, 2 * n + 1))
-    probs *= _spread(net.channel, chan_axes, ndim)
-    return JointDistribution(labels, probs)
+        pmfs.append(arr)
+    nodes = range(1, net.n_nodes + 1)
+    labels = [q_label()] + x_labels(nodes) + y_labels(nodes)
+    factors = [_inputs_factor(q, pmfs), channel_factor(net)]
+    return JointDistribution(labels, factors=factors)
 
 
 # Cuts per stacked Cholesky call in ``gauss_cut_rates``.  Bounding the

@@ -16,6 +16,83 @@ from nncbound.infocalc import CodingDistribution, JointDistribution
 from nncbound.netmodel import DmNetwork, NodeSet
 
 
+def rand_superposition_design(
+    rng, net: DmNetwork, u_sizes, nq: int = 1, yhat_sizes=None
+) -> CodingDistribution:
+    """Random layered code design: joint p(u, x | q) rows, p(yh | y, u, q)."""
+    if yhat_sizes is None:
+        yhat_sizes = net.y_sizes
+    q = rand_rows(rng, (nq,)) if nq > 1 else np.ones(1)
+    inputs = tuple(
+        rand_rows(rng, (nq, u * x)).reshape(nq, u, x)
+        for u, x in zip(u_sizes, net.x_sizes)
+    )
+    comps = tuple(
+        rand_rows(rng, (nq, yk, u, yh))
+        for u, yk, yh in zip(u_sizes, net.y_sizes, yhat_sizes)
+    )
+    return CodingDistribution(q, inputs, comps, superposition=True)
+
+
+# ---------------------------------------------------------------------------
+# dense joints by explicit broadcasting (the library never forms these)
+
+
+def _placed(arr: np.ndarray, arr_labels, labels) -> np.ndarray:
+    """``arr`` with its axes moved to their slots among ``labels`` and
+    size-1 axes inserted for the labels it lacks."""
+    slots = [labels.index(lab) for lab in arr_labels]
+    order = sorted(range(len(slots)), key=lambda i: slots[i])
+    shape = [1] * len(labels)
+    for i in order:
+        shape[slots[i]] = arr.shape[i]
+    return np.transpose(arr, order).reshape(shape)
+
+
+def _dense(labels, parts) -> JointDistribution:
+    probs = np.ones(())
+    for arr, arr_labels in parts:
+        probs = probs * _placed(np.asarray(arr, dtype=float), arr_labels, labels)
+    return JointDistribution(tuple(labels), probs)
+
+
+def dense_assemble_joint(net: DmNetwork, dist: CodingDistribution) -> JointDistribution:
+    """The joint of a code design as one tensor: every factor broadcast
+    to the full label set and multiplied in, one at a time."""
+    n = net.n_nodes
+    nodes = range(1, n + 1)
+    xs = [f"X{k}" for k in nodes]
+    ys = [f"Y{k}" for k in nodes]
+    us = [f"U{k}" for k in nodes] if dist.superposition else []
+    labels = ["Q"] + us + xs + ys + [f"Yh{k}" for k in nodes]
+    parts = [(dist.q_pmf, ["Q"]), (net.channel, xs + ys)]
+    for k in nodes:
+        mid = f"U{k}" if dist.superposition else f"X{k}"
+        inputs = ["Q", mid, f"X{k}"] if dist.superposition else ["Q", f"X{k}"]
+        parts.append((dist.input_pmfs[k - 1], inputs))
+        parts.append((dist.compression[k - 1], ["Q", f"Y{k}", mid, f"Yh{k}"]))
+    return _dense(labels, parts)
+
+
+def dense_joint_from_inputs(net: DmNetwork, x_pmf, channel=None) -> JointDistribution:
+    """Dense (X^N, Y^N) joint for one joint input pmf; ``channel`` is
+    accepted for signature parity and ignored."""
+    nodes = range(1, net.n_nodes + 1)
+    xs = [f"X{k}" for k in nodes]
+    ys = [f"Y{k}" for k in nodes]
+    return _dense(xs + ys, [(x_pmf, xs), (net.channel, xs + ys)])
+
+
+def dense_joint_with_product_inputs(net: DmNetwork, q_pmf, input_pmfs) -> JointDistribution:
+    """Dense (Q, X^N, Y^N) joint for product inputs given Q."""
+    nodes = range(1, net.n_nodes + 1)
+    xs = [f"X{k}" for k in nodes]
+    ys = [f"Y{k}" for k in nodes]
+    parts = [(q_pmf, ["Q"]), (net.channel, xs + ys)]
+    parts += [(p, ["Q", x]) for p, x in zip(input_pmfs, xs)]
+    return _dense(["Q"] + xs + ys, parts)
+
+
 def rand_channel(rng: np.random.Generator, x_sizes, y_sizes) -> np.ndarray:
     """Random strictly-positive channel tensor, normalized over all output
     axes jointly (one row per input combination)."""

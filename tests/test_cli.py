@@ -314,6 +314,20 @@ class TestEval:
         assert code == 2
         assert "outputs[0]" in err
 
+    @pytest.mark.parametrize("sizes", [[2.5, 2], [0, 2], [True, 2]])
+    def test_dm_bad_alphabet_size_exits_two(self, capsys, tmp_path, sizes):
+        path = write_json(tmp_path, "dm.json", {
+            "format": "dm",
+            "x_sizes": sizes,
+            "y_sizes": [2, 2],
+            "channel": [0.25] * 16,
+            "dests": [[2], []],
+        })
+        code, _, err = run_cli(capsys, ["eval", "--bound", "thm2", "--network", path])
+        assert code == 2
+        assert "x_sizes[0]" in err
+        assert "Traceback" not in err
+
     def test_bound_network_format_mismatch(self, capsys, gauss_file, relay_dm):
         code, _, err = run_cli(capsys, ["eval", "--bound", "thm2", "--network", gauss_file])
         assert code == 2

@@ -164,6 +164,32 @@ class TestLoadNetwork:
         with pytest.raises(SchemaError, match=r"outputs\[1\] entries must be integers"):
             load_network(p)
 
+    def test_deterministic_boolean_output_rejected(self, tmp_path):
+        # numpy upcasts [0, true] to [0, 1] before a dtype check sees it
+        p = dump(tmp_path, "det.json", {
+            "format": "deterministic",
+            "x_sizes": [2],
+            "y_sizes": [2],
+            "outputs": [[0, True]],
+            "dests": [[1]],
+        })
+        with pytest.raises(SchemaError, match=r"outputs\[0\] entries must be integers"):
+            load_network(p)
+
+    @pytest.mark.parametrize("key", ["x_sizes", "y_sizes"])
+    @pytest.mark.parametrize("bad", [2.5, True, 0, -1, "2", None, float("inf")])
+    def test_dm_alphabet_size_must_be_integer_at_least_one(self, tmp_path, key, bad):
+        # int() would turn 2.5 into 2; 0 used to escape as a ValueError
+        payload = dm_payload()
+        payload[key] = [bad, payload[key][1]]
+        p = dump(tmp_path, "dm.json", payload)
+        with pytest.raises(SchemaError, match=rf"{key}\[0\] must be an integer >= 1"):
+            load_network(p)
+
+    def test_dm_integral_float_alphabet_size_accepted(self, tmp_path):
+        p = dump(tmp_path, "dm.json", {**dm_payload(), "x_sizes": [2.0, 1]})
+        assert load_network(p).x_sizes == (2, 1)
+
     def test_deterministic_integral_float_output_accepted(self, tmp_path):
         p = dump(tmp_path, "det.json", {
             "format": "deterministic",
