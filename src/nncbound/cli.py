@@ -358,12 +358,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         if not isinstance(net, GaussianNetwork):
             raise SchemaError(f"bound {bound!r} needs a gaussian-format network")
-        n = net.n_nodes
-        mc = multicast_for(n)
-        if mc is not None:
-            cuts = enumerate_cutsets(n, multicast=mc)
-        else:
-            cuts = enumerate_cutsets(n, dests=net.dests)
+        cuts = enumerate_cutsets(net.n_nodes, multicast_for(net.n_nodes), net.dests)
         cutsets = [s for s, _ in cuts]
         header = ["cut_mask", "cut_nodes", "raw", "clamped"]
         rows = []
@@ -399,9 +394,10 @@ columns and the formulas that produce them:
 _IRC_FORMULAS = """\
 columns and the formulas that produce them (C(x) = (1/2)log2(1+x), s is the
 relay quantizer variance, r0 the digital relay-link rate):
-  sum_NNC_T2   joint-decoding compress-and-forward: per-user caps and four
-               sum caps of the forms C(SNR) + r0 - C(1/s) and C(combined
-               SNR); sum rate solved over the resulting region.
+  sum_NNC_T2   joint-decoding compress-and-forward: per-user caps c1, c2 and
+               csum, the least of four sum caps of the forms
+               C(SNR) + r0 - C(1/s) and C(combined SNR); sum rate
+               min(c1⁺ + c2⁺, csum⁺), where x⁺ = max(x, 0).
   sum_NNC_T3   layered compress-and-forward: per-user min of the
                hash-style cap (direct SNR with interference as noise,
                plus r0 minus a description charge) and the classic-CF

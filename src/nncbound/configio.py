@@ -63,9 +63,73 @@ def _need(data: dict[str, Any], key: str, where: str) -> Any:
     return data[key]
 
 
+def _numbers(value: Any, what: str) -> np.ndarray:
+    """A JSON number or a regular nested array of them, as a float array.
+
+    Strings, booleans, null and ragged nesting are rejected: numpy would
+    parse "5", read true as 1, or fail with a ValueError."""
+    arr = np.asarray(value, dtype=object)  # ragged rows stay lists
+    types = set(map(type, arr.flat))
+    if list in types:
+        raise SchemaError(f"{what}: nested arrays must be regular, not ragged")
+    if not types <= {int, float}:
+        raise SchemaError(
+            f"{what}: every entry must be a JSON number "
+            "(no strings, booleans or null)"
+        )
+    try:
+        return arr.astype(float)
+    except OverflowError:
+        raise SchemaError(f"{what}: an entry overflows a float") from None
+
+
+def _number(value: Any, what: str) -> float:
+    arr = _numbers(value, what)
+    if arr.ndim:
+        raise SchemaError(f"{what} must be a single number, got an array")
+    return float(arr)
+
+
+def _is_integer(value: Any) -> bool:
+    """Integral floats such as 2.0 are exact and count; booleans,
+    fractions, strings and null do not."""
+    return (isinstance(value, int) and not isinstance(value, bool)) or (
+        isinstance(value, float) and value.is_integer()
+    )
+
+
+def _list(data: dict[str, Any], key: str, where: str) -> list[Any]:
+    value = _need(data, key, where)
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: {key!r} must be an array, got {value!r}")
+    return value
+
+
+def _object(item: Any, keys: Sequence[str], what: str) -> dict[str, Any]:
+    if not isinstance(item, dict):
+        raise SchemaError(f"{what} must be an object, got {item!r}")
+    for key in keys:
+        if key not in item:
+            raise SchemaError(f"{what} missing {key!r}")
+    return item
+
+
+def _node(value: Any, n: int, what: str) -> int:
+    """A 1-based node index in 1..n."""
+    if not _is_integer(value) or not 1 <= value <= n:
+        raise SchemaError(f"{what} must be a node index in 1..{n}, got {value!r}")
+    return int(value)
+
+
+def _nodes(value: Any, n: int, what: str) -> NodeSet:
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be an array of nodes, got {value!r}")
+    return NodeSet.from_nodes(n, (_node(k, n, what) for k in value))
+
+
 def _tensor(value: Any, shape: Sequence[int], what: str) -> np.ndarray:
     """Accept nested arrays or a flat row-major list for a known shape."""
-    arr = np.asarray(value, dtype=float)
+    arr = _numbers(value, what)
     want = tuple(int(s) for s in shape)
     if arr.shape == want:
         return arr
@@ -94,35 +158,20 @@ def _normalize_rows(arr: np.ndarray, what: str) -> np.ndarray:
 def _sizes(data: dict[str, Any], key: str, where: str) -> tuple[int, ...]:
     """Alphabet sizes: a list of integers >= 1 (integral floats such as 2.0
     are exact and accepted; booleans, fractions and strings are not)."""
-    value = _need(data, key, where)
-    if not isinstance(value, list):
-        raise SchemaError(f"{where}: {key!r} must be a list of alphabet sizes")
     out = []
-    for k, s in enumerate(value):
-        integral = (isinstance(s, int) and not isinstance(s, bool)) or (
-            isinstance(s, float) and s.is_integer()
-        )
-        if not integral or s < 1:
+    for k, s in enumerate(_list(data, key, where)):
+        if not _is_integer(s) or s < 1:
             raise SchemaError(f"{where}: {key}[{k}] must be an integer >= 1, got {s!r}")
         out.append(int(s))
     return tuple(out)
 
 
-def _has_bool(value: Any) -> bool:
-    if isinstance(value, list):
-        return any(_has_bool(v) for v in value)
-    return isinstance(value, bool)
-
-
 def _dest_sets(value: Any, n: int, where: str) -> tuple[NodeSet, ...]:
     if not isinstance(value, list) or len(value) != n:
         raise SchemaError(f"{where}: 'dests' must list one node array per node")
-    out = []
-    for k, nodes in enumerate(value, start=1):
-        if not isinstance(nodes, list):
-            raise SchemaError(f"{where}: dests[{k - 1}] must be an array of nodes")
-        out.append(NodeSet.from_nodes(n, nodes))
-    return tuple(out)
+    return tuple(
+        _nodes(nodes, n, f"{where}: dests[{k}]") for k, nodes in enumerate(value)
+    )
 
 
 def parse_node_set(text: str, n: int) -> NodeSet:
@@ -148,13 +197,13 @@ def load_network(path: str | Path) -> AnyNetwork:
         )
 
     if fmt == "gaussian":
-        gains = np.asarray(_need(data, "gains", where), dtype=float)
+        gains = _numbers(_need(data, "gains", where), f"{where}: gains")
         if gains.ndim != 2 or gains.shape[0] != gains.shape[1]:
             raise SchemaError(f"{where}: 'gains' must be a square matrix")
         n = gains.shape[0]
         return GaussianNetwork(
             gains,
-            float(_need(data, "power", where)),
+            _number(_need(data, "power", where), f"{where}: power"),
             _dest_sets(_need(data, "dests", where), n, where),
         )
 
@@ -174,15 +223,19 @@ def load_network(path: str | Path) -> AnyNetwork:
         )
 
     if fmt == "noiseless":
-        n = int(_need(data, "n_nodes", where))
+        n = _need(data, "n_nodes", where)
+        if not _is_integer(n) or n < 1:
+            raise SchemaError(f"{where}: n_nodes must be an integer >= 1, got {n!r}")
+        n = int(n)
         links = []
-        for i, item in enumerate(_need(data, "links", where)):
-            for key in ("sender", "receiver", "capacity"):
-                if key not in item:
-                    raise SchemaError(f"{where}: links[{i}] missing {key!r}")
+        for i, item in enumerate(_list(data, "links", where)):
+            what = f"{where}: links[{i}]"
+            item = _object(item, ("sender", "receiver", "capacity"), what)
             links.append(
                 NoiselessLink(
-                    int(item["sender"]), int(item["receiver"]), float(item["capacity"])
+                    _node(item["sender"], n, f"{what}.sender"),
+                    _node(item["receiver"], n, f"{what}.receiver"),
+                    _number(item["capacity"], f"{what}.capacity"),
                 )
             )
         return NoiselessNetwork(
@@ -198,15 +251,15 @@ def load_network(path: str | Path) -> AnyNetwork:
                 f"{where}: give exactly one of 'link_erasure' or 'all_erased'"
             )
         if "link_erasure" in data:
-            mat = np.asarray(data["link_erasure"], dtype=float)
+            mat = _numbers(data["link_erasure"], f"{where}: link_erasure")
             return ErasureNetwork(x_sizes, dests, link_erasure=mat)
         table: dict[tuple[int, int], float] = {}
-        for i, item in enumerate(data["all_erased"]):
-            for key in ("sender", "receivers", "prob"):
-                if key not in item:
-                    raise SchemaError(f"{where}: all_erased[{i}] missing {key!r}")
-            mask = NodeSet.from_nodes(n, item["receivers"]).mask
-            table[(int(item["sender"]), mask)] = float(item["prob"])
+        for i, item in enumerate(_list(data, "all_erased", where)):
+            what = f"{where}: all_erased[{i}]"
+            item = _object(item, ("sender", "receivers", "prob"), what)
+            sender = _node(item["sender"], n, f"{what}.sender")
+            mask = _nodes(item["receivers"], n, f"{what}.receivers").mask
+            table[(sender, mask)] = _number(item["prob"], f"{what}.prob")
         return ErasureNetwork(x_sizes, dests, all_erased=table)
 
     # deterministic
@@ -214,25 +267,21 @@ def load_network(path: str | Path) -> AnyNetwork:
     y_sizes = _sizes(data, "y_sizes", where)
     n = len(x_sizes)
     tables = []
-    for k, value in enumerate(_need(data, "outputs", where), start=1):
-        # numpy would upcast a JSON true in an integer row to 1.
-        if _has_bool(value):
-            raise SchemaError(f"{where}: outputs[{k - 1}] entries must be integers")
-        arr = np.asarray(value)
+    for k, value in enumerate(_list(data, "outputs", where)):
+        what = f"{where}: outputs[{k}]"
+        arr = np.asarray(value, dtype=object)  # ragged rows stay lists
+        # Integral floats such as 1.0 are exact; fractions would be
+        # truncated by a cast and true read as 1, so they are rejected.
+        if not all(map(_is_integer, arr.flat)):
+            raise SchemaError(f"{what} entries must be integers")
         if arr.ndim == 1 and arr.size == math.prod(x_sizes):
             arr = arr.reshape(x_sizes)
         if arr.shape != tuple(x_sizes):
             raise SchemaError(
-                f"{where}: outputs[{k - 1}] must have shape {tuple(x_sizes)} "
+                f"{what} must have shape {tuple(x_sizes)} "
                 "(nested) or be a flat row-major list"
             )
-        # Integral floats such as 1.0 are exact; anything else would be
-        # truncated by the cast, so it is rejected instead.
-        if arr.dtype.kind not in "iuf" or (
-            arr.dtype.kind == "f" and not np.all(np.isfinite(arr) & (arr == np.round(arr)))
-        ):
-            raise SchemaError(f"{where}: outputs[{k - 1}] entries must be integers")
-        tables.append(arr.astype(np.int64))
+        tables.append(arr.astype(float).astype(np.int64))
     return DeterministicNetwork(
         x_sizes, y_sizes, tuple(tables),
         _dest_sets(_need(data, "dests", where), n, where),
@@ -250,7 +299,7 @@ def load_distribution(path: str | Path, net: DmNetwork) -> CodingDistribution:
     superposition = mode == "superposition"
     n = net.n_nodes
 
-    q = np.asarray(data.get("q_pmf", [1.0]), dtype=float)
+    q = _numbers(data.get("q_pmf", [1.0]), f"{where}: q_pmf")
     if q.ndim != 1 or q.size < 1:
         raise SchemaError(f"{where}: q_pmf must be a nonempty vector")
     q = _normalize_rows(q[None, :], f"{where}: q_pmf")[0]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -284,16 +284,20 @@ def _cmi_at(cache: EntropyCache, a, b, c, bound: str, cut: NodeSet, **where) -> 
         raise EvaluationError(f"{bound}: cut {cut} (mask {cut.mask}){at}: {exc}") from exc
 
 
-def _nnc_entries(
-    cache: EntropyCache,
+def _nnc_report(
     bound: str,
-    n: int,
-    cuts: Sequence[tuple[NodeSet, NodeSet]],
-) -> tuple[CutsetEntry, ...]:
-    """Flow-minus-penalty constraint per (cut, destination) pair."""
-    all_x = x_labels(range(1, n + 1))
+    net: DmNetwork,
+    dist: CodingDistribution,
+    multicast: NodeSet | None = None,
+) -> CutsetReport:
+    """Flow-minus-penalty constraint per (cut, destination) pair, with the
+    destinations of :func:`enumerate_cutsets`."""
+    if dist.superposition:
+        raise SchemaError(f"{bound} expects a plain (non-layered) design")
+    cache = EntropyCache(assemble_joint(net, dist))
+    all_x = x_labels(range(1, net.n_nodes + 1))
     entries = []
-    for s, eligible in cuts:
+    for s, eligible in enumerate_cutsets(net.n_nodes, multicast, net.dests):
         sc = s.complement()
         for d in eligible:
             flow = _cmi_at(
@@ -314,7 +318,7 @@ def _nnc_entries(
             entries.append(
                 CutsetEntry(s, d, raw, max(raw, 0.0), flow, penalty)
             )
-    return tuple(entries)
+    return CutsetReport(bound, tuple(entries))
 
 
 def nnc_multicast_bound(
@@ -330,12 +334,7 @@ def nnc_multicast_bound(
     describing the in-cut outputs.  ``raw`` may be negative when the
     compression is too fine.
     """
-    if dist.superposition:
-        raise SchemaError("multicast bound expects a plain (non-layered) design")
-    joint = assemble_joint(net, dist)
-    cache = EntropyCache(joint)
-    cuts = enumerate_cutsets(net.n_nodes, multicast=multicast)
-    return CutsetReport("thm1", _nnc_entries(cache, "thm1", net.n_nodes, cuts))
+    return _nnc_report("thm1", net, dist, multicast)
 
 
 def nnc_theorem2_bound(net: DmNetwork, dist: CodingDistribution) -> CutsetReport:
@@ -346,12 +345,7 @@ def nnc_theorem2_bound(net: DmNetwork, dist: CodingDistribution) -> CutsetReport
     nodes inside it (everyone who must decode something that originates
     behind the cut).
     """
-    if dist.superposition:
-        raise SchemaError("this bound expects a plain (non-layered) design")
-    joint = assemble_joint(net, dist)
-    cache = EntropyCache(joint)
-    cuts = enumerate_cutsets(net.n_nodes, dests=net.dests)
-    return CutsetReport("thm2", _nnc_entries(cache, "thm2", net.n_nodes, cuts))
+    return _nnc_report("thm2", net, dist)
 
 
 def _sources_for_dest(net: DmNetwork, d: int) -> NodeSet:
@@ -461,11 +455,7 @@ def cutset_outer_bound(
         family = list(input_pmfs)
     if not family:
         raise SchemaError("need at least one input distribution")
-    n = net.n_nodes
-    if multicast is not None:
-        cuts = enumerate_cutsets(n, multicast=multicast)
-    else:
-        cuts = enumerate_cutsets(n, dests=net.dests)
+    cuts = enumerate_cutsets(net.n_nodes, multicast, net.dests)
 
     # One channel factor for the whole family, so its partial reductions
     # are computed once per call and freed when the call returns.
@@ -598,12 +588,16 @@ def cf_extension_bound(net: DmNetwork, dist: CodingDistribution) -> CfExtensionR
 # exact special-case regions
 
 
-def _region_cuts(
-    n: int, dests: Sequence[NodeSet], multicast: NodeSet | None
-) -> list[tuple[NodeSet, NodeSet]]:
-    if multicast is not None:
-        return enumerate_cutsets(n, multicast=multicast)
-    return enumerate_cutsets(n, dests=dests)
+def _cut_region(
+    net: NoiselessNetwork | ErasureNetwork | DeterministicNetwork,
+    multicast: NodeSet | None,
+    value: Callable[[NodeSet], float],
+) -> RateRegion:
+    """One constraint ``value(S)`` per cut S with an eligible destination."""
+    cuts = enumerate_cutsets(net.n_nodes, multicast, net.dests)
+    if not cuts:
+        raise SchemaError("no cut has an eligible destination")
+    return RateRegion(net.n_nodes, {s: value(s) for s, _ in cuts})
 
 
 def noiseless_region(
@@ -611,15 +605,9 @@ def noiseless_region(
 ) -> RateRegion:
     """Exact region of a noiseless graph: each cut supports exactly the
     total capacity of its forward-crossing links."""
-    values: dict[NodeSet, float] = {}
-    for s, _ in _region_cuts(net.n_nodes, net.dests, multicast):
-        v = sum(
-            l.capacity for l in net.links if l.sender in s and l.receiver not in s
-        )
-        values[s] = float(v)
-    if not values:
-        raise SchemaError("no cut has an eligible destination")
-    return RateRegion(net.n_nodes, values)
+    return _cut_region(net, multicast, lambda s: float(sum(
+        l.capacity for l in net.links if l.sender in s and l.receiver not in s
+    )))
 
 
 def erasure_region(
@@ -627,16 +615,14 @@ def erasure_region(
 ) -> RateRegion:
     """Exact region under broadcast erasure: each in-cut sender counts at
     full rate whenever at least one receiver beyond the cut sees it."""
-    values: dict[NodeSet, float] = {}
-    for s, _ in _region_cuts(net.n_nodes, net.dests, multicast):
+
+    def value(s: NodeSet) -> float:
         sc = s.complement()
-        v = 0.0
-        for j in s:
-            v += math.log2(net.x_sizes[j - 1]) * (1.0 - net.p_all_erased(j, sc))
-        values[s] = v
-    if not values:
-        raise SchemaError("no cut has an eligible destination")
-    return RateRegion(net.n_nodes, values)
+        return sum(
+            math.log2(net.x_sizes[j - 1]) * (1.0 - net.p_all_erased(j, sc)) for j in s
+        )
+
+    return _cut_region(net, multicast, value)
 
 
 def deterministic_region(
@@ -658,12 +644,10 @@ def deterministic_region(
     joint = joint_with_product_inputs(dm, q_pmf, input_pmfs)
     cache = EntropyCache(joint)
     q = [q_label()]
-    values: dict[NodeSet, float] = {}
-    for s, _ in _region_cuts(net.n_nodes, net.dests, multicast):
+
+    def value(s: NodeSet) -> float:
         sc = s.complement()
         cond = x_labels(sc) + q
-        v = cache.entropy(y_labels(sc) + cond) - cache.entropy(cond)
-        values[s] = v
-    if not values:
-        raise SchemaError("no cut has an eligible destination")
-    return RateRegion(net.n_nodes, values)
+        return cache.entropy(y_labels(sc) + cond) - cache.entropy(cond)
+
+    return _cut_region(net, multicast, value)

@@ -32,13 +32,11 @@ import numpy as np
 
 from .errors import EvaluationError, SchemaError
 from .infocalc import gauss_cut_rate, gauss_cut_rates
-from .netmodel import (
-    GaussianNetwork,
-    NodeSet,
-    RateRegion,
-    enumerate_cutsets,
-    max_weighted_sum,
-)
+from .netmodel import GaussianNetwork, NodeSet, enumerate_cutsets
+
+# Not used here: the benchmark's netmodel.max_weighted_sum hook patches
+# this module attribute, so the name stays importable from gauss_bounds.
+from .netmodel import max_weighted_sum  # noqa: F401
 
 # Gains diverge as the relay reaches an end node; they are capped here and
 # the result flagged, so sweeps can include the boundary without overflow.
@@ -125,11 +123,7 @@ def gap_certificate(
     flags any cut where the gap exceeds budget + 1e-9 (which should never
     happen).
     """
-    n = net.n_nodes
-    if multicast is not None:
-        cuts = enumerate_cutsets(n, multicast=multicast)
-    else:
-        cuts = enumerate_cutsets(n, dests=net.dests)
+    cuts = enumerate_cutsets(net.n_nodes, multicast, net.dests)
     if not cuts:
         raise SchemaError("no cut has an eligible destination")
     cutsets = [s for s, _ in cuts]
@@ -326,17 +320,21 @@ class TwrcRates:
 
 def _twrc_nnc_pair(cfg: TwrcConfig, s2: float) -> tuple[float, float]:
     p = cfg.power
+    charge = c_rate(1.0 / s2)
+
+    def direction(g_near: float, g_far: float) -> float:
+        # g_near: this sender to relay; g_far: relay to the destination.
+        # One symmetric power limit P applies to both end nodes here.
+        return max(
+            min(
+                c_rate((g_near * g_near * p + (1.0 + s2) * p) / (1.0 + s2)),
+                c_rate(p + g_far * g_far * p) - charge,
+            ),
+            0.0,
+        )
+
     g13, g23 = cfg.g13, cfg.g23
-    r1 = min(
-        c_rate((g13 * g13 * p + (1.0 + s2) * p) / (1.0 + s2)),
-        c_rate(p + g23 * g23 * p) - c_rate(1.0 / s2),
-    )
-    # One symmetric power limit P applies to both end nodes here.
-    r2 = min(
-        c_rate((g23 * g23 * p + (1.0 + s2) * p) / (1.0 + s2)),
-        c_rate(p + g13 * g13 * p) - c_rate(1.0 / s2),
-    )
-    return max(r1, 0.0), max(r2, 0.0)
+    return direction(g13, g23), direction(g23, g13)
 
 
 def _twrc_af_pair(cfg: TwrcConfig, alpha: float) -> tuple[float, float]:
@@ -357,13 +355,20 @@ def _twrc_af_pair(cfg: TwrcConfig, alpha: float) -> tuple[float, float]:
 def _twrc_cf(cfg: TwrcConfig) -> tuple[float, float, float]:
     p = cfg.power
     g13, g23 = cfg.g13, cfg.g23
-    relay_out = min(g23 * g23, g13 * g13) * p
-    num1 = (1.0 + p) * (1.0 + g13 * g13 * p) - (g13 * p) ** 2
-    num2 = (1.0 + p) * (1.0 + g23 * g23 * p) - (g23 * p) ** 2
-    s2 = max(num1, num2) / relay_out
-    r1 = c_rate((g13 * g13 * p + (1.0 + s2) * p) / (1.0 + s2))
-    r2 = c_rate((g23 * g23 * p + (1.0 + s2) * p) / (1.0 + s2))
-    return max(r1, 0.0), max(r2, 0.0), s2
+
+    def description_need(g_near: float) -> float:
+        return (1.0 + p) * (1.0 + g_near * g_near * p) - (g_near * p) ** 2
+
+    s2 = max(description_need(g13), description_need(g23)) / (
+        min(g23 * g23, g13 * g13) * p
+    )
+
+    def direction(g_near: float) -> float:
+        # The decoder combines its direct signal with the relay's
+        # description at the smallest feasible quantizer variance.
+        return max(c_rate((g_near * g_near * p + (1.0 + s2) * p) / (1.0 + s2)), 0.0)
+
+    return direction(g13), direction(g23), s2
 
 
 def twrc_rates(
@@ -391,16 +396,13 @@ def twrc_rates(
     if scheme == "AF":
         p = cfg.power
         alpha_max = math.sqrt(p / (cfg.g13**2 * p + cfg.g23**2 * p + 1.0))
-        agrid = grid.replace_bounds(alpha_max * 1e-6, alpha_max)
-        alpha, _ = scalar_maximize(
-            lambda a: sum(_twrc_af_pair(cfg, a)), agrid
-        )
-        r1, r2 = _twrc_af_pair(cfg, alpha)
-        return TwrcRates(scheme, r1, r2, r1 + r2, alpha, flag)
-
-    s2, _ = scalar_maximize(lambda s: sum(_twrc_nnc_pair(cfg, s)), grid)
-    r1, r2 = _twrc_nnc_pair(cfg, s2)
-    return TwrcRates(scheme, r1, r2, r1 + r2, s2, flag)
+        pair = _twrc_af_pair
+        grid = grid.replace_bounds(alpha_max * 1e-6, alpha_max)
+    else:
+        pair = _twrc_nnc_pair
+    param, _ = scalar_maximize(lambda x: sum(pair(cfg, x)), grid)
+    r1, r2 = pair(cfg, param)
+    return TwrcRates(scheme, r1, r2, r1 + r2, param, flag)
 
 
 # ---------------------------------------------------------------------------
@@ -457,52 +459,44 @@ class IrcRates:
 
 
 def _pair_region_sum(c1: float, c2: float, csum: float = math.inf) -> float:
-    constraints = {
-        NodeSet.of(5, 1): max(c1, 0.0),
-        NodeSet.of(5, 2): max(c2, 0.0),
-    }
-    if math.isfinite(csum):
-        constraints[NodeSet.of(5, 1, 2)] = max(csum, 0.0)
-    region = RateRegion(5, constraints)
-    return max_weighted_sum(
-        region, [1.0, 1.0, 0.0, 0.0, 0.0], NodeSet.of(5, 1, 2)
+    """Largest R1 + R2 over 0 <= R1 <= c1, 0 <= R2 <= c2, R1 + R2 <= csum,
+    with every cap clamped at zero first: min(c1+ + c2+, csum+)."""
+    return min(max(c1, 0.0) + max(c2, 0.0), max(csum, 0.0))
+
+
+def _swap(cfg: IrcConfig) -> IrcConfig:
+    """The same topology with users 1 <-> 2 and destinations 4 <-> 5
+    exchanged, so a formula written for user 1 gives user 2's value."""
+    return IrcConfig(
+        g13=cfg.g23, g23=cfg.g13, g14=cfg.g25, g24=cfg.g15, g15=cfg.g24,
+        g25=cfg.g14, r0=cfg.r0, power=cfg.power,
     )
 
 
-def _irc_t2_caps(cfg: IrcConfig, s2: float) -> tuple[float, float, float]:
+def _irc_t2_caps(cfg: IrcConfig, s2: float) -> tuple[float, float]:
+    """User 1's cap and the tighter of the two sum caps at destination 4."""
     p = cfg.power
-    g13, g23, g14, g24, g15, g25 = (
-        cfg.g13, cfg.g23, cfg.g14, cfg.g24, cfg.g15, cfg.g25,
-    )
+    g13, g23, g14, g24 = cfg.g13, cfg.g23, cfg.g14, cfg.g24
     digital = cfg.r0 - c_rate(1.0 / s2)
-    cross_4 = (g13 * g24 - g23 * g14) ** 2
-    cross_5 = (g23 * g15 - g13 * g25) ** 2
+    cross = (g13 * g24 - g23 * g14) ** 2
     c1 = min(
         c_rate(g14 * g14 * p) + digital,
         c_rate((g13 * g13 + (1.0 + s2) * g14 * g14) * p / (1.0 + s2)),
-    )
-    c2 = min(
-        c_rate(g25 * g25 * p) + digital,
-        c_rate((g23 * g23 + (1.0 + s2) * g25 * g25) * p / (1.0 + s2)),
     )
     csum = min(
         c_rate((g14 * g14 + g24 * g24) * p) + digital,
         c_rate(
             ((g13 * g13 + g23 * g23) * p
              + (1.0 + s2) * (g14 * g14 + g24 * g24) * p
-             + cross_4 * p * p) / (1.0 + s2)
-        ),
-        c_rate((g15 * g15 + g25 * g25) * p) + digital,
-        c_rate(
-            ((g13 * g13 + g23 * g23) * p
-             + (1.0 + s2) * (g25 * g25 + g15 * g15) * p
-             + cross_5 * p * p) / (1.0 + s2)
+             + cross * p * p) / (1.0 + s2)
         ),
     )
-    return c1, c2, csum
+    return c1, csum
 
 
-def _irc_hf_cap_1(cfg: IrcConfig, s2: float) -> float:
+def _irc_hf_cap(cfg: IrcConfig, s2: float) -> float:
+    """User 1's hash-and-forward cap: direct SNR with user 2 as noise, plus
+    the relay link minus the charge for describing the relay output."""
     p = cfg.power
     den = cfg.g24**2 * p + 1.0
     return (
@@ -512,17 +506,9 @@ def _irc_hf_cap_1(cfg: IrcConfig, s2: float) -> float:
     )
 
 
-def _irc_hf_cap_2(cfg: IrcConfig, s2: float) -> float:
-    p = cfg.power
-    den = cfg.g15**2 * p + 1.0
-    return (
-        c_rate(cfg.g25**2 * p / den)
-        + cfg.r0
-        - c_rate(((cfg.g13**2 + cfg.g15**2) * p + 1.0) / (den * s2))
-    )
-
-
-def _irc_cf_cap_1(cfg: IrcConfig, s2: float) -> float:
+def _irc_cf_cap(cfg: IrcConfig, s2: float) -> float:
+    """User 1's compress-and-forward cap: destination 4 combines its own
+    output with the relay's description at quantizer variance s2."""
     p = cfg.power
     cross = (cfg.g23 * cfg.g14 - cfg.g24 * cfg.g13) ** 2
     num = (cfg.g13**2 + (1.0 + s2) * cfg.g14**2) * p + cross * p * p
@@ -530,30 +516,18 @@ def _irc_cf_cap_1(cfg: IrcConfig, s2: float) -> float:
     return c_rate(num / den)
 
 
-def _irc_cf_cap_2(cfg: IrcConfig, s2: float) -> float:
-    p = cfg.power
-    cross = (cfg.g13 * cfg.g25 - cfg.g15 * cfg.g23) ** 2
-    num = (cfg.g23**2 + (1.0 + s2) * cfg.g25**2) * p + cross * p * p
-    den = 1.0 + s2 + (cfg.g13**2 + (1.0 + s2) * cfg.g15**2) * p
-    return c_rate(num / den)
-
-
-def _irc_quantization_threshold(cfg: IrcConfig) -> tuple[float, float]:
-    """The two per-destination variance thresholds that split classic CF
-    (needs sigma2 >= max of them) from HF (needs sigma2 <= min)."""
+def _irc_quantization_threshold(cfg: IrcConfig) -> float:
+    """Destination 4's variance threshold: classic CF needs sigma2 at or
+    above it (at both destinations), HF at or below it; inf when r0 = 0."""
     p = cfg.power
     scale = 2.0 ** (2.0 * cfg.r0) - 1.0
-    a1 = (cfg.g13**2 + cfg.g14**2) * p + (cfg.g23**2 + cfg.g24**2) * p + 1.0
-    a2 = (cfg.g13**2 + cfg.g15**2) * p + (cfg.g23**2 + cfg.g25**2) * p + 1.0
-    q1 = ((cfg.g13 * cfg.g24 - cfg.g23 * cfg.g14) ** 2 * p * p + a1) / (
+    if scale <= 0.0:
+        return math.inf
+    a = (cfg.g13**2 + cfg.g14**2) * p + (cfg.g23**2 + cfg.g24**2) * p + 1.0
+    q = ((cfg.g13 * cfg.g24 - cfg.g23 * cfg.g14) ** 2 * p * p + a) / (
         cfg.g14**2 * p + cfg.g24**2 * p + 1.0
     )
-    q2 = ((cfg.g13 * cfg.g25 - cfg.g23 * cfg.g15) ** 2 * p * p + a2) / (
-        cfg.g15**2 * p + cfg.g25**2 * p + 1.0
-    )
-    if scale <= 0.0:
-        return math.inf, math.inf
-    return q1 / scale, q2 / scale
+    return q / scale
 
 
 def irc_rates(
@@ -562,79 +536,71 @@ def irc_rates(
     """Best sum rate of one interference-relay scheme.
 
     Every scheme optimizes a single compression/quantization variance.
-    CF is feasible only above a variance threshold and HF only below
-    one; their sweep ranges are adjusted so the binding boundary is an
-    exact grid endpoint.  With r0 = 0 classic CF has no feasible
+    Each cap is written for user 1 and evaluated on :func:`_swap` for
+    user 2.  CF is feasible only above a variance threshold and HF only
+    below one; their sweep ranges are adjusted so the binding boundary is
+    an exact grid endpoint.  With r0 = 0 classic CF has no feasible
     variance at all and falls back to direct transmission (flagged).
     """
     if scheme not in IRC_SCHEMES:
         raise SchemaError(f"unknown scheme {scheme!r}; pick one of {IRC_SCHEMES}")
     if grid is None:
         grid = SweepGrid()
-    p = cfg.power
-    if p == 0.0:
+    if cfg.power == 0.0:
         return IrcRates(scheme, 0.0, 0.0, 0.0, math.nan)
+    other = _swap(cfg)
 
     if scheme == "NNC-T2":
-        def f(s2: float) -> float:
-            return _pair_region_sum(*_irc_t2_caps(cfg, s2))
-
-        s2, best = scalar_maximize(f, grid)
-        c1, c2, _ = _irc_t2_caps(cfg, s2)
-        return IrcRates(scheme, max(c1, 0.0), max(c2, 0.0), best, s2)
-
-    if scheme == "NNC-T3":
-        def caps(s2: float) -> tuple[float, float]:
+        def caps(s2: float) -> tuple[float, ...]:
+            c1, sum4 = _irc_t2_caps(cfg, s2)
+            c2, sum5 = _irc_t2_caps(other, s2)
+            return c1, c2, min(sum4, sum5)
+    elif scheme == "NNC-T3":
+        def caps(s2: float) -> tuple[float, ...]:
             return (
-                min(_irc_hf_cap_1(cfg, s2), _irc_cf_cap_1(cfg, s2)),
-                min(_irc_hf_cap_2(cfg, s2), _irc_cf_cap_2(cfg, s2)),
+                min(_irc_hf_cap(cfg, s2), _irc_cf_cap(cfg, s2)),
+                min(_irc_hf_cap(other, s2), _irc_cf_cap(other, s2)),
             )
-
-        s2, best = scalar_maximize(
-            lambda s: _pair_region_sum(*caps(s)), grid
-        )
-        c1, c2 = caps(s2)
-        return IrcRates(scheme, max(c1, 0.0), max(c2, 0.0), best, s2)
-
-    t1, t2 = _irc_quantization_threshold(cfg)
-
-    if scheme == "CF":
-        s2_min = max(t1, t2)
-        if math.isinf(s2_min):
-            # No quantization satisfies the digital link budget; the
-            # scheme reduces to direct transmission (variance -> inf).
-            c1 = c_rate(cfg.g14**2 * p / (cfg.g24**2 * p + 1.0))
-            c2 = c_rate(cfg.g25**2 * p / (cfg.g15**2 * p + 1.0))
-            return IrcRates(
-                scheme, c1, c2, c1 + c2, math.inf, fallback=True
-            )
-        cf_grid = grid.replace_bounds(s2_min, max(grid.hi, 10.0 * s2_min))
-        s2, best = scalar_maximize(
-            lambda s: _pair_region_sum(
-                _irc_cf_cap_1(cfg, s), _irc_cf_cap_2(cfg, s)
-            ),
-            cf_grid,
-        )
-        c1, c2 = _irc_cf_cap_1(cfg, s2), _irc_cf_cap_2(cfg, s2)
-        return IrcRates(scheme, max(c1, 0.0), max(c2, 0.0), best, s2)
-
-    # HF: feasible below the smaller threshold; caps grow with the
-    # variance, so the boundary (included exactly) is where to look.
-    s2_max = min(t1, t2)
-    if math.isinf(s2_max):
-        hf_grid = grid
     else:
-        hf_grid = grid.replace_bounds(min(grid.lo, s2_max / 100.0), s2_max)
-    s2, best = scalar_maximize(
-        lambda s: _pair_region_sum(
-            _irc_hf_cap_1(cfg, s), _irc_hf_cap_2(cfg, s)
-        ),
-        hf_grid,
-    )
-    c1, c2 = _irc_hf_cap_1(cfg, s2), _irc_hf_cap_2(cfg, s2)
+        cap = _irc_cf_cap if scheme == "CF" else _irc_hf_cap
+
+        def caps(s2: float) -> tuple[float, ...]:
+            return cap(cfg, s2), cap(other, s2)
+
+        thresholds = (
+            _irc_quantization_threshold(cfg),
+            _irc_quantization_threshold(other),
+        )
+        if scheme == "CF":
+            s2_min = max(thresholds)
+            if math.isinf(s2_min):
+                # No quantization satisfies the digital link budget; the
+                # scheme reduces to direct transmission (variance -> inf).
+                c1, c2 = (
+                    c_rate(c.g14**2 * c.power / (c.g24**2 * c.power + 1.0))
+                    for c in (cfg, other)
+                )
+                return IrcRates(
+                    scheme, c1, c2, c1 + c2, math.inf, fallback=True
+                )
+            grid = grid.replace_bounds(s2_min, max(grid.hi, 10.0 * s2_min))
+        else:
+            # HF caps grow with the variance, so the threshold (included
+            # exactly) is where to look.
+            s2_max = min(thresholds)
+            if not math.isinf(s2_max):
+                grid = grid.replace_bounds(min(grid.lo, s2_max / 100.0), s2_max)
+
+    s2, best = scalar_maximize(lambda s: _pair_region_sum(*caps(s)), grid)
+    c1, c2, *_ = caps(s2)
     return IrcRates(scheme, max(c1, 0.0), max(c2, 0.0), best, s2)
 
 
 def db_to_power(db: float) -> float:
     """Convert a dB power figure to linear scale: P = 10**(dB/10)."""
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise SchemaError(
+            f"power of {db!r} dB overflows a float (10**(dB/10) > 1.8e308)"
+        ) from None

@@ -327,23 +327,27 @@ def enumerate_cutsets(
 ) -> list[tuple[NodeSet, NodeSet]]:
     """Enumerate cuts S with their eligible destination nodes.
 
-    Exactly one destination selector must be given:
+    The destinations come from one selector:
 
     * ``multicast``: a fixed destination set D; eligible nodes for a cut S
       are the destinations outside S.
     * ``dests``: per-node destination sets; eligible nodes for S are the
       nodes outside S that are a destination of some node inside S.
 
+    When both are given, ``multicast`` replaces ``dests``, so a caller
+    can pass its network's ``dests`` together with an optional multicast
+    set; giving neither raises :class:`SchemaError`.
+
     Cuts with no eligible destination (including the empty and full sets)
     are skipped.  Returned in ascending bitmask order.
     """
     if n_nodes < 1 or n_nodes > MAX_NODES:
         raise SchemaError(f"node count {n_nodes} outside supported range 1..{MAX_NODES}")
-    if (multicast is None) == (dests is None):
-        raise SchemaError("give exactly one of multicast= or dests=")
+    if multicast is None and dests is None:
+        raise SchemaError("give multicast= or dests=")
     if multicast is not None and multicast.n_nodes != n_nodes:
         raise SchemaError("multicast set universe does not match node count")
-    if dests is not None:
+    if multicast is None:
         dests = _as_dest_tuple(n_nodes, dests)
 
     out: list[tuple[NodeSet, NodeSet]] = []

@@ -111,6 +111,12 @@ class TestSweepCommands:
         assert code == 2 and out == ""
         assert "gamma" in err and "Traceback" not in err
 
+    def test_irc_power_overflow_exits_two(self, capsys):
+        argv = ["irc-sweep", "--p-db-max", "4000", "--steps", "2"] + SMALL
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert "4000.0 dB" in err and "Traceback" not in err
+
     def test_unknown_scheme(self, capsys):
         code, _, err = run_cli(capsys, ["irc-sweep", "--schemes", "AF"])
         assert code == 2
@@ -313,6 +319,22 @@ class TestEval:
         code, _, err = run_cli(capsys, ["eval", "--bound", "deterministic", "--network", path])
         assert code == 2
         assert "outputs[0]" in err
+
+    @pytest.mark.parametrize("payload, argv, field", [
+        ({"format": "gaussian", "gains": [[0, 1], [1]], "power": 5,
+          "dests": [[2], []]}, ["gap-check"], "gains"),
+        ({"format": "gaussian", "gains": [[0, 1], [1, 0]], "power": "5",
+          "dests": [["2"], []]}, ["eval", "--bound", "gauss_outer"], "power"),
+        ({"format": "noiseless", "n_nodes": 2, "links": True,
+          "dests": [[2], []]}, ["eval", "--bound", "noiseless"], "links"),
+    ])
+    def test_malformed_network_field_exits_two(
+        self, capsys, tmp_path, payload, argv, field
+    ):
+        path = write_json(tmp_path, "net.json", payload)
+        code, out, err = run_cli(capsys, argv + ["--network", path])
+        assert code == 2 and out == ""
+        assert field in err and "Traceback" not in err
 
     @pytest.mark.parametrize("sizes", [[2.5, 2], [0, 2], [True, 2]])
     def test_dm_bad_alphabet_size_exits_two(self, capsys, tmp_path, sizes):

@@ -249,6 +249,90 @@ class TestLoadNetwork:
             load_network(dump(tmp_path, "d.json", bad))
 
 
+def _gaussian(**kw):
+    return {"format": "gaussian", "gains": [[0, 1], [1, 0]], "power": 5,
+            "dests": [[2], []], **kw}
+
+
+def _noiseless(link=None, **kw):
+    link = {"sender": 1, "receiver": 2, "capacity": 1.0, **(link or {})}
+    return {"format": "noiseless", "n_nodes": 2, "links": [link],
+            "dests": [[2], []], **kw}
+
+
+def _erasure_table(item=None, **kw):
+    item = {"sender": 1, "receivers": [2], "prob": 0.5, **(item or {})}
+    return {"format": "erasure", "x_sizes": [2, 2], "all_erased": [item],
+            "dests": [[2], []], **kw}
+
+
+def _erasure_matrix(mat):
+    return {"format": "erasure", "x_sizes": [2, 2], "link_erasure": mat,
+            "dests": [[2], []]}
+
+
+def _deterministic(**kw):
+    return {"format": "deterministic", "x_sizes": [2], "y_sizes": [2],
+            "outputs": [[0, 1]], "dests": [[1]], **kw}
+
+
+class TestMalformedFields:
+    """Malformed numbers, node indices and containers raise SchemaError
+    naming the field, never a TypeError/ValueError or a silent coercion."""
+
+    @pytest.mark.parametrize("payload, field", [
+        (_gaussian(gains=[[0, 1], [1]]), "gains"),
+        (_gaussian(gains=[[0, "a"], [1, 0]]), "gains"),
+        (_gaussian(gains=[[0, True], [1, 0]]), "gains"),
+        (_gaussian(power=None), "power"),
+        (_gaussian(power="5"), "power"),
+        (_gaussian(power=True), "power"),
+        (_gaussian(power=[5]), "power"),
+        (_erasure_matrix([[0, "a"], [0, 0]]), "link_erasure"),
+        (_erasure_matrix([[0, 0.5], [0]]), "link_erasure"),
+        (_erasure_table({"prob": "0.5"}), r"all_erased\[0\]\.prob"),
+        (_erasure_table({"prob": None}), r"all_erased\[0\]\.prob"),
+        (_noiseless({"capacity": "1"}), r"links\[0\]\.capacity"),
+        ({**dm_payload(), "channel": [0.9, 0.1, "a", 0.9]}, "channel"),
+    ])
+    def test_non_numeric_or_ragged_numbers(self, tmp_path, payload, field):
+        with pytest.raises(SchemaError, match=field):
+            load_network(dump(tmp_path, "net.json", payload))
+
+    @pytest.mark.parametrize("payload, field", [
+        (_gaussian(dests=[["2"], []]), r"dests\[0\]"),
+        (_gaussian(dests=[[[2]], []]), r"dests\[0\]"),
+        (_gaussian(dests=[[], [True]]), r"dests\[1\]"),
+        (_gaussian(dests=[[2.5], []]), r"dests\[0\]"),
+        (_gaussian(dests=[[3], []]), r"dests\[0\]"),
+        (_erasure_table({"receivers": "2"}), r"all_erased\[0\]\.receivers"),
+        (_erasure_table({"sender": "1"}), r"all_erased\[0\]\.sender"),
+        (_erasure_table(all_erased=True), "all_erased"),
+        (_erasure_table(all_erased=[5]), r"all_erased\[0\]"),
+        (_noiseless(links=True), "links"),
+        (_noiseless(links=[5]), r"links\[0\]"),
+        (_noiseless(n_nodes=None), "n_nodes"),
+        (_noiseless(n_nodes="2"), "n_nodes"),
+        (_noiseless(n_nodes=2.5), "n_nodes"),
+        (_noiseless({"sender": 1.5}), r"links\[0\]\.sender"),
+        (_noiseless({"sender": True}), r"links\[0\]\.sender"),
+        (_noiseless({"receiver": 3}), r"links\[0\]\.receiver"),
+        (_deterministic(outputs=True), "outputs"),
+        (_deterministic(outputs=[[[0, 1], [1]]]), r"outputs\[0\]"),
+    ])
+    def test_bad_node_or_container(self, tmp_path, payload, field):
+        with pytest.raises(SchemaError, match=field):
+            load_network(dump(tmp_path, "net.json", payload))
+
+    def test_integral_float_nodes_accepted(self, tmp_path):
+        net = load_network(dump(tmp_path, "n.json", _noiseless(
+            {"sender": 1.0, "receiver": 2.0}, n_nodes=2.0, dests=[[2.0], []],
+        )))
+        assert net.n_nodes == 2
+        assert (net.links[0].sender, net.links[0].receiver) == (1, 2)
+        assert net.dests[0] == NodeSet.of(2, 2)
+
+
 class TestLoadDistribution:
     def _net(self, rng):
         return DmNetwork(

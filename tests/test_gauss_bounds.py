@@ -21,7 +21,7 @@ from nncbound.gauss_bounds import (
     twrc_rates,
 )
 from nncbound.infocalc import gauss_cut_rate
-from nncbound.netmodel import GaussianNetwork, NodeSet
+from nncbound.netmodel import GaussianNetwork, NodeSet, RateRegion, max_weighted_sum
 
 
 def crate(x):
@@ -268,6 +268,24 @@ class TestTwrc:
             alpha_max = math.sqrt(p / (cfg.g13**2 * p + cfg.g23**2 * p + 1.0))
             assert 0.0 < af.param <= alpha_max + 1e-15
 
+    @pytest.mark.parametrize("d", [0.0, 0.0625, 0.25, 0.375, 0.5, 0.8125, 1.0])
+    def test_mirrored_geometry_swaps_directions(self, d):
+        # at dyadic d, 1 - (1 - d) == d, so mirroring the relay position
+        # swaps the two gains exactly and each direction's formula must
+        # give the other direction's value bit for bit
+        grid = SweepGrid(points=40, refine_iters=20)
+        for gamma, power in ((3.0, 10.0), (2.0, 100.0), (0.5, 0.3)):
+            cfg = TwrcConfig(d, gamma, power)
+            mirrored = TwrcConfig(1.0 - d, gamma, power)
+            assert mirrored.g13 == cfg.g23 and mirrored.g23 == cfg.g13
+            for scheme in ("NNC", "AF", "CF"):
+                a = twrc_rates(cfg, scheme, grid)
+                b = twrc_rates(mirrored, scheme, grid)
+                assert (b.r1, b.r2) == (a.r2, a.r1)
+                assert b.sum_rate == a.sum_rate
+                assert b.param == a.param
+                assert b.degenerate_gains == a.degenerate_gains
+
 
 class TestIrc:
     def _cfg(self, **kw):
@@ -311,11 +329,10 @@ class TestIrc:
         # min() therefore loses nothing at the boundary
         rng = np.random.default_rng(25)
         from nncbound.gauss_bounds import (
-            _irc_cf_cap_1,
-            _irc_cf_cap_2,
-            _irc_hf_cap_1,
-            _irc_hf_cap_2,
+            _irc_cf_cap,
+            _irc_hf_cap,
             _irc_quantization_threshold,
+            _swap,
         )
         for _ in range(10):
             cfg = IrcConfig(
@@ -328,13 +345,12 @@ class TestIrc:
                 r0=float(rng.uniform(0.3, 2.0)),
                 power=float(rng.uniform(0.5, 50.0)),
             )
-            t1, t2 = _irc_quantization_threshold(cfg)
-            assert _irc_hf_cap_1(cfg, t1) == pytest.approx(
-                _irc_cf_cap_1(cfg, t1), abs=1e-9
-            )
-            assert _irc_hf_cap_2(cfg, t2) == pytest.approx(
-                _irc_cf_cap_2(cfg, t2), abs=1e-9
-            )
+            # destination 4 on cfg, destination 5 on the swapped topology
+            for c in (cfg, _swap(cfg)):
+                t = _irc_quantization_threshold(c)
+                assert _irc_hf_cap(c, t) == pytest.approx(
+                    _irc_cf_cap(c, t), abs=1e-9
+                )
 
     def test_zero_relay_rate_falls_back_to_direct_links(self):
         cfg = self._cfg(r0=0.0)
@@ -368,6 +384,32 @@ class TestIrc:
             assert irc_rates(cfg, scheme).sum_rate <= direct + 1e-6
 
 
+    def test_swapped_users_swap_caps(self):
+        # each cap is one user-1 formula evaluated on cfg and on _swap(cfg),
+        # so swapping the users must swap the caps bit for bit
+        from nncbound.gauss_bounds import _swap
+
+        rng = np.random.default_rng(26)
+        grid = SweepGrid(points=40, refine_iters=20)
+        cfgs = [self._cfg(), self._cfg(r0=0.0)]
+        for _ in range(6):
+            g = rng.uniform(0.0, 2.0, 6)
+            cfgs.append(IrcConfig(
+                *map(float, g), r0=float(rng.uniform(0.0, 2.0)),
+                power=float(10 ** rng.uniform(-1, 3)),
+            ))
+        for cfg in cfgs:
+            swapped = _swap(cfg)
+            assert _swap(swapped) == cfg
+            for scheme in ("NNC-T2", "NNC-T3", "CF", "HF"):
+                a = irc_rates(cfg, scheme, grid)
+                b = irc_rates(swapped, scheme, grid)
+                assert (b.r1_cap, b.r2_cap) == (a.r2_cap, a.r1_cap)
+                assert b.sum_rate == a.sum_rate
+                assert b.sigma2 == a.sigma2
+                assert b.fallback == a.fallback
+
+
 class TestPairRegionSum:
     def test_hand_cases(self):
         from nncbound.gauss_bounds import _pair_region_sum
@@ -377,3 +419,28 @@ class TestPairRegionSum:
         assert _pair_region_sum(-0.5, 2.0, 10.0) == pytest.approx(2.0)
         assert _pair_region_sum(1.0, 2.0) == pytest.approx(3.0)
         assert _pair_region_sum(-1.0, -1.0, 5.0) == 0.0
+
+    def test_matches_region_maximum(self):
+        # the closed form against the general region maximizer it replaced
+        from nncbound.gauss_bounds import _pair_region_sum
+
+        def region_sum(c1, c2, csum):
+            constraints = {NodeSet.of(2, 1): c1, NodeSet.of(2, 2): c2}
+            if math.isfinite(csum):
+                constraints[NodeSet.of(2, 1, 2)] = csum
+            region = RateRegion(2, constraints)
+            return max_weighted_sum(region, [1.0, 1.0], NodeSet.full(2))
+
+        rng = np.random.default_rng(27)
+        cases = [(1.0, 2.0, math.inf), (-1.0, 3.0, math.inf), (1.0, 2.0, 0.0),
+                 (-1.0, -2.0, 0.0), (0.1, 0.2, 0.1 + 0.2), (2.0, -1.0, -3.0)]
+        for _ in range(300):
+            c1, c2 = (float(v) for v in rng.uniform(-2.0, 5.0, 2))
+            cases.append((c1, c2, float(rng.uniform(-2.0, 10.0))))
+            cases.append((c1, c2, math.inf))
+            cases.append((c1, c2, 0.0))
+            cases.append((c1, c2, max(c1, 0.0) + max(c2, 0.0)))
+        for c1, c2, csum in cases:
+            got = _pair_region_sum(c1, c2, csum)
+            want = region_sum(c1, c2, csum)
+            assert abs(got - want) <= math.ulp(max(got, want)), (c1, c2, csum)

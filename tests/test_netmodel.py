@@ -145,10 +145,17 @@ class TestEnumerateCutsets:
     def test_selector_required(self):
         with pytest.raises(SchemaError):
             enumerate_cutsets(3)
-        with pytest.raises(SchemaError):
-            enumerate_cutsets(
-                3, multicast=NodeSet.of(3, 1), dests=dests_tuple(3, [1], [], [])
-            )
+        # multicast replaces dests when both are given
+        n = 3
+        d = NodeSet.of(n, 1)
+        got = enumerate_cutsets(n, multicast=d, dests=dests_tuple(n, [], [3], []))
+        expect = []
+        for mask in range(1, 1 << n):
+            s = NodeSet(n, mask)
+            elig = s.complement() & d
+            if elig:
+                expect.append((s, elig))
+        assert got == expect
 
     def test_universe_mismatch(self):
         with pytest.raises(SchemaError):
