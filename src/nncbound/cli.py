@@ -15,12 +15,11 @@ Exit codes: 0 success, 2 bad usage or config, 3 evaluation failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import itertools
 import math
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,6 +56,7 @@ from .netmodel import (
     GaussianNetwork,
     NodeSet,
     enumerate_cutsets,
+    node_set_names,
 )
 
 BOUNDS = (
@@ -73,6 +73,14 @@ BOUNDS = (
 )
 
 
+def _quote(text: str) -> str:
+    """A text cell as ``csv.writer(lineterminator="\\n")`` writes it: quoted
+    when it holds the delimiter, the quote character or the line end."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _fmt(value: Any) -> str:
     if value is None:
         return ""
@@ -82,19 +90,28 @@ def _fmt(value: Any) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    return str(value)
+    return _quote(str(value))
 
 
-def _write_csv(out: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
+def _fmt_row(row: Iterable[Any]) -> list[str]:
+    return [_fmt(cell) for cell in row]
+
+
+def _cut_cells(masks: np.ndarray, names: Sequence[str]) -> tuple[Iterator[str], ...]:
+    """The ``cut_mask`` and ``cut_nodes`` cells of a column of cut masks;
+    ``names[m]`` is the quoted ``node_set_names`` entry of mask m."""
+    ms = masks.tolist()
+    return map(str, ms), map(names.__getitem__, ms)
+
+
+def _write_csv(out: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write rows of ``_fmt`` cells under ``header``, one LF-ended line each."""
+    lines = map(",".join, itertools.chain([_fmt_row(header)], rows))
+    text = "".join(line + "\n" for line in lines)
     if out == "-":
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(text)
     else:
-        Path(out).write_text(buf.getvalue(), encoding="utf-8")
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _scheme_list(text: str, allowed: Sequence[str]) -> list[str]:
@@ -136,7 +153,7 @@ def cmd_twrc_sweep(args: argparse.Namespace) -> int:
             cells[f"sum_{scheme}"] = res.sum_rate
             key = "alpha_AF" if scheme == "AF" else f"sigma2_{scheme}"
             cells[key] = res.param
-        rows.append([cells[h] for h in header])
+        rows.append(_fmt_row(cells[h] for h in header))
     _write_csv(args.out, header, rows)
     return 0
 
@@ -183,7 +200,7 @@ def cmd_irc_sweep(args: argparse.Namespace) -> int:
                 nnc_sums.append(res.sum_rate)
         if nnc_sums:
             cells["sum_NNC_best"] = max(nnc_sums)
-        rows.append([cells[h] for h in header])
+        rows.append(_fmt_row(cells[h] for h in header))
     _write_csv(args.out, header, rows)
     return 0
 
@@ -208,32 +225,33 @@ def cmd_gap_check(args: argparse.Namespace) -> int:
         if args.trials < 1:
             raise SchemaError("--trials must be >= 1")
         rng = np.random.default_rng(args.seed)
+        all_to_all = tuple(NodeSet.full(n) for _ in range(n))
         for _ in range(args.trials):
             gains = rng.normal(size=(n, n))
             np.fill_diagonal(gains, 0.0)
-            nets.append(
-                GaussianNetwork(
-                    gains, args.power, tuple(NodeSet.full(n) for _ in range(n))
-                )
-            )
+            nets.append(GaussianNetwork(gains, args.power, all_to_all))
 
     header = ["trial", "cut_mask", "cut_nodes", "outer", "inner_raw", "gap", "budget", "ok"]
-    rows: list[list[Any]] = []
-    max_gap = -math.inf
-    max_budget = -math.inf
-    all_ok = True
-    for trial, net in enumerate(nets):
-        full = NodeSet.full(net.n_nodes)
-        for e in gap_certificate(net, multicast=full):
-            rows.append(
-                [trial, e.cutset.mask, str(e.cutset), e.outer, e.inner_raw,
-                 e.gap, e.budget, e.ok]
-            )
-            max_gap = max(max_gap, e.gap)
-            max_budget = max(max_budget, e.budget)
-            all_ok = all_ok and e.ok
-    rows.append(["summary", None, None, None, None, max_gap, max_budget, all_ok])
-    _write_csv(args.out, header, rows)
+    certs = [gap_certificate(net, multicast=NodeSet.full(net.n_nodes)) for net in nets]
+    names = list(map(_quote, node_set_names(nets[0].n_nodes)))
+    rows = [
+        zip(
+            itertools.repeat(str(trial)),
+            *_cut_cells(cert.masks, names),
+            *(map(repr, col.tolist())
+              for col in (cert.outer, cert.inner_raw, cert.gap, cert.budget)),
+            map(_fmt, cert.ok.tolist()),
+        )
+        for trial, cert in enumerate(certs)
+    ]
+    # fmax skips NaN, as a running max() from -inf does.
+    summary = [
+        "summary", None, None, None, None,
+        max(float(np.fmax.reduce(c.gap, initial=-math.inf)) for c in certs),
+        max(float(np.fmax.reduce(c.budget, initial=-math.inf)) for c in certs),
+        all(bool(c.ok.all()) for c in certs),
+    ]
+    _write_csv(args.out, header, itertools.chain(*rows, [_fmt_row(summary)]))
     return 0
 
 
@@ -258,31 +276,23 @@ def _load_design(args: argparse.Namespace, dm: DmNetwork) -> CodingDistribution:
     return configio.load_distribution(args.dist, dm)
 
 
-def _report_rows(report) -> tuple[list[str], list[list[Any]]]:
+def _report_rows(report) -> tuple[list[str], list[list[str]]]:
     header = [
         "cut_mask", "cut_nodes", "dest", "rate_set",
         "raw", "clamped", "flow_term", "penalty_term",
     ]
-    rows = []
-    for e in report:
-        rows.append(
-            [
-                e.cutset.mask,
-                str(e.cutset),
-                e.dest,
-                str(e.rate_set) if e.rate_set is not None else None,
-                e.raw,
-                e.clamped,
-                e.flow_term,
-                e.penalty_term,
-            ]
-        )
+    rows = [
+        _fmt_row([e.cutset.mask, str(e.cutset), e.dest,
+                  str(e.rate_set) if e.rate_set is not None else None,
+                  e.raw, e.clamped, e.flow_term, e.penalty_term])
+        for e in report
+    ]
     return header, rows
 
 
-def _region_rows(region) -> tuple[list[str], list[list[Any]]]:
+def _region_rows(region) -> tuple[list[str], list[list[str]]]:
     header = ["cut_mask", "cut_nodes", "value"]
-    rows = [[s.mask, str(s), v] for s, v in region.items()]
+    rows = [_fmt_row([s.mask, str(s), v]) for s, v in region.items()]
     return header, rows
 
 
@@ -325,13 +335,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 "description_cost", "flow", "slack", "ok", "rate",
             ]
             rows = [
-                ["constraint", c.group.mask, str(c.group), c.dest,
-                 c.description_cost, c.flow, c.slack, c.ok, None]
+                _fmt_row(["constraint", c.group.mask, str(c.group), c.dest,
+                          c.description_cost, c.flow, c.slack, c.ok, None])
                 for c in res.constraints
             ]
-            rows.append(
+            rows.append(_fmt_row(
                 ["result", None, None, None, None, None, None, res.feasible, res.rate]
-            )
+            ))
     elif bound == "noiseless":
         if not isinstance(net, NoiselessNetwork):
             raise SchemaError("bound 'noiseless' needs a noiseless-format network")
@@ -359,12 +369,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not isinstance(net, GaussianNetwork):
             raise SchemaError(f"bound {bound!r} needs a gaussian-format network")
         cuts = enumerate_cutsets(net.n_nodes, multicast_for(net.n_nodes), net.dests)
-        cutsets = [s for s, _ in cuts]
+        outer, inner, _ = gauss_cut_bounds(net, cuts.masks)
+        v = inner if bound == "gauss_inner" else outer
         header = ["cut_mask", "cut_nodes", "raw", "clamped"]
-        rows = []
-        for s, (outer, inner) in zip(cutsets, gauss_cut_bounds(net, cutsets)):
-            v = inner if bound == "gauss_inner" else outer
-            rows.append([s.mask, str(s), v, max(v, 0.0)])
+        # np.where(0.0 > v, 0.0, v) is max(v, 0.0), -0.0 and NaN included.
+        rows = zip(
+            *_cut_cells(cuts.masks, list(map(_quote, node_set_names(net.n_nodes)))),
+            map(repr, v.tolist()),
+            map(repr, np.where(0.0 > v, 0.0, v).tolist()),
+        )
 
     _write_csv(args.out, header, rows)
     return 0

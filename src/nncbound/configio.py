@@ -306,14 +306,19 @@ def load_distribution(path: str | Path, net: DmNetwork) -> CodingDistribution:
     nq = q.size
 
     if "input_pmfs" in data:
-        raw_inputs = data["input_pmfs"]
+        raw_inputs = _list(data, "input_pmfs", where)
         if len(raw_inputs) != n:
             raise SchemaError(f"{where}: need one input pmf per node")
+        if superposition:
+            u_sizes = _sizes(data, "u_sizes", where) if "u_sizes" in data else ()
+            if len(u_sizes) < n:
+                raise SchemaError(
+                    f"{where}: superposition designs must declare 'u_sizes' per node"
+                )
         inputs = []
         for k in range(1, n + 1):
             if superposition:
-                u_k = _u_size(data, k, where)
-                shape = (nq, u_k, net.x_sizes[k - 1])
+                shape = (nq, u_sizes[k - 1], net.x_sizes[k - 1])
             else:
                 shape = (nq, net.x_sizes[k - 1])
             arr = _tensor(raw_inputs[k - 1], shape, f"{where}: input_pmfs[{k - 1}]")
@@ -329,13 +334,18 @@ def load_distribution(path: str | Path, net: DmNetwork) -> CodingDistribution:
         input_pmfs = uniform_inputs(net.x_sizes, nq)
 
     if "compression" in data:
-        raw_comp = data["compression"]
+        raw_comp = _list(data, "compression", where)
         if len(raw_comp) != n:
             raise SchemaError(f"{where}: need one compressor per node")
+        yhat_sizes = net.y_sizes
+        if data.get("yhat_sizes") is not None:
+            yhat_sizes = _sizes(data, "yhat_sizes", where)
+            if len(yhat_sizes) != n:
+                raise SchemaError(f"{where}: 'yhat_sizes' must list one size per node")
         comps = []
         for k in range(1, n + 1):
             mid = input_pmfs[k - 1].shape[1] if superposition else net.x_sizes[k - 1]
-            yh = _yhat_size(data, k, net, where)
+            yh = yhat_sizes[k - 1]
             shape = (nq, net.y_sizes[k - 1], mid, yh)
             arr = _tensor(raw_comp[k - 1], shape, f"{where}: compression[{k - 1}]")
             flat = arr.reshape(-1, yh)
@@ -350,24 +360,6 @@ def load_distribution(path: str | Path, net: DmNetwork) -> CodingDistribution:
         compression = copy_compression(net, nq)
 
     return CodingDistribution(q, input_pmfs, compression, superposition)
-
-
-def _u_size(data: dict[str, Any], k: int, where: str) -> int:
-    sizes = data.get("u_sizes")
-    if sizes is None or len(sizes) < k:
-        raise SchemaError(
-            f"{where}: superposition designs must declare 'u_sizes' per node"
-        )
-    return int(sizes[k - 1])
-
-
-def _yhat_size(data: dict[str, Any], k: int, net: DmNetwork, where: str) -> int:
-    sizes = data.get("yhat_sizes")
-    if sizes is None:
-        return net.y_sizes[k - 1]
-    if len(sizes) != net.n_nodes:
-        raise SchemaError(f"{where}: 'yhat_sizes' must list one size per node")
-    return int(sizes[k - 1])
 
 
 def load_input_family(
@@ -386,18 +378,12 @@ def load_input_family(
     data = _load_json(path)
     where = str(path)
     if "joint_inputs" in data:
-        raw = data["joint_inputs"]
-        flat_len = math.prod(shape)
+        raw = _list(data, "joint_inputs", where)
         try:
-            arr = np.asarray(raw, dtype=float)
-        except ValueError:
-            # ragged: members mix nested and flat layouts
-            raw_list = list(raw)
-        else:
-            if arr.shape == shape or (arr.ndim == 1 and arr.size == flat_len):
-                raw_list = [raw]
-            else:
-                raw_list = list(raw)
+            layout = np.asarray(raw, dtype=float).shape
+        except (TypeError, ValueError, OverflowError):
+            layout = None  # ragged or not numbers: a list of members
+        raw_list = [raw] if layout in (shape, (math.prod(shape),)) else raw
         out = []
         for i, item in enumerate(raw_list):
             t = _tensor(item, shape, f"{where}: joint_inputs[{i}]")

@@ -455,7 +455,7 @@ def cutset_outer_bound(
         family = list(input_pmfs)
     if not family:
         raise SchemaError("need at least one input distribution")
-    cuts = enumerate_cutsets(net.n_nodes, multicast, net.dests)
+    cuts = list(enumerate_cutsets(net.n_nodes, multicast, net.dests))
 
     # One channel factor for the whole family, so its partial reductions
     # are computed once per call and freed when the call returns.

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import EvaluationError, SchemaError
 from .infocalc import gauss_cut_rate, gauss_cut_rates
-from .netmodel import GaussianNetwork, NodeSet, enumerate_cutsets
+from .netmodel import GaussianNetwork, NodeSet, enumerate_cutsets, popcounts
 
 # Not used here: the benchmark's netmodel.max_weighted_sum hook patches
 # this module attribute, so the name stays importable from gauss_bounds.
@@ -62,14 +62,6 @@ def _allowance(s: int, sc: int) -> float:
     return (min(s, sc) / 2.0) * math.log2(2.0 * s)
 
 
-def _outer(flow: float, cut: NodeSet) -> float:
-    return flow + _allowance(len(cut), cut.n_nodes - len(cut))
-
-
-def _inner(flow: float, cut: NodeSet) -> float:
-    return flow - len(cut) / 2.0
-
-
 def cut_size_budget(cut: NodeSet) -> float:
     """Outer-minus-inner budget of a cut: |S|/2 + (min(|S|,|S^c|)/2) log2(2|S|)."""
     s = len(cut)
@@ -80,40 +72,49 @@ def gauss_cutset_outer(net: GaussianNetwork, cut: NodeSet) -> float:
     """Cutset outer bound relaxed to a closed form: the log-det flow of
     ``gauss_cut_rate`` plus a correlation allowance of
     (min(|S|,|S^c|)/2) log2(2|S|)."""
-    return _outer(gauss_cut_rate(net, cut), cut)
+    return gauss_cut_rate(net, cut) + _allowance(len(cut), cut.n_nodes - len(cut))
 
 
 def gauss_nnc_inner(net: GaussianNetwork, cut: NodeSet) -> float:
     """Achievable flow across a cut with unit-variance compression noise:
     the same log-det term minus |S|/2.  Returned raw (may be negative);
     clamping happens when regions are assembled."""
-    return _inner(gauss_cut_rate(net, cut), cut)
+    return gauss_cut_rate(net, cut) - len(cut) / 2.0
 
 
 def gauss_cut_bounds(
-    net: GaussianNetwork, cuts: Sequence[NodeSet]
-) -> list[tuple[float, float]]:
-    """``(gauss_cutset_outer, gauss_nnc_inner)`` of every cut, from one
-    batched log-det per cut."""
-    flows = gauss_cut_rates(net, cuts).tolist()
-    return [(_outer(f, cut), _inner(f, cut)) for cut, f in zip(cuts, flows)]
+    net: GaussianNetwork, masks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``gauss_cutset_outer``, ``gauss_nnc_inner`` and ``cut_size_budget``
+    of every cut mask, as arrays, from one batched log-det per cut.  The
+    allowance is read from a table of ``_allowance`` per cut size, so each
+    entry is the float the per-cut functions give."""
+    n = net.n_nodes
+    flows = gauss_cut_rates(net, masks)
+    sizes = popcounts(masks)
+    allowance = np.array([0.0] + [_allowance(s, n - s) for s in range(1, n)])[sizes]
+    return flows + allowance, flows - sizes / 2.0, sizes / 2.0 + allowance
 
 
-@dataclass(frozen=True)
-class GapEntry:
-    """Per-cut certificate row: the outer/inner difference vs its budget."""
+@dataclass(frozen=True, eq=False)
+class GapCertificate:
+    """Per-cut certificate columns, one entry per eligible cut in
+    ascending mask order: the outer/inner difference vs its budget."""
 
-    cutset: NodeSet
-    outer: float
-    inner_raw: float
-    gap: float
-    budget: float
-    ok: bool
+    masks: np.ndarray
+    outer: np.ndarray
+    inner_raw: np.ndarray
+    gap: np.ndarray
+    budget: np.ndarray
+    ok: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.masks)
 
 
 def gap_certificate(
     net: GaussianNetwork, multicast: NodeSet | None = None
-) -> tuple[GapEntry, ...]:
+) -> GapCertificate:
     """Evaluate outer and raw inner values for every eligible cut and
     check the gap against the size-only budget.
 
@@ -126,13 +127,10 @@ def gap_certificate(
     cuts = enumerate_cutsets(net.n_nodes, multicast, net.dests)
     if not cuts:
         raise SchemaError("no cut has an eligible destination")
-    cutsets = [s for s, _ in cuts]
-    entries = []
-    for s, (outer, inner) in zip(cutsets, gauss_cut_bounds(net, cutsets)):
+    outer, inner, budget = gauss_cut_bounds(net, cuts.masks)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for floats
         gap = outer - inner
-        budget = cut_size_budget(s)
-        entries.append(GapEntry(s, outer, inner, gap, budget, gap <= budget + 1e-9))
-    return tuple(entries)
+    return GapCertificate(cuts.masks, outer, inner, gap, budget, gap <= budget + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +428,23 @@ class IrcConfig:
     power: float
 
     def __post_init__(self) -> None:
-        for name in ("g13", "g23", "g14", "g24", "g15", "g25"):
-            v = getattr(self, name)
+        squared = {g: getattr(self, g) for g in ("g13", "g23", "g14", "g24", "g15", "g25")}
+        for name, v in squared.items():
             if not (math.isfinite(v) and v >= 0):
                 raise SchemaError(f"{name} must be finite and >= 0, got {v!r}")
         if not (math.isfinite(self.r0) and self.r0 >= 0):
             raise SchemaError(f"r0 must be finite and >= 0, got {self.r0!r}")
         if not (math.isfinite(self.power) and self.power >= 0):
             raise SchemaError(f"power must be finite and >= 0, got {self.power!r}")
+        # The caps square these and take 2**(2*r0) with float **, which
+        # raises OverflowError instead of returning inf.
+        squared["g13*g24 - g23*g14"] = self.g13 * self.g24 - self.g23 * self.g14
+        squared["g23*g15 - g13*g25"] = self.g23 * self.g15 - self.g13 * self.g25
+        for name, v in squared.items():
+            if not math.isfinite(v * v):
+                raise SchemaError(f"{name} = {v!r} is too large: its square overflows")
+        if self.r0 >= 512.0:
+            raise SchemaError(f"r0 = {self.r0!r} is too large: 2**(2*r0) overflows a float")
 
 
 @dataclass(frozen=True)

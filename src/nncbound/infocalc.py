@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EvaluationError, SchemaError
-from .netmodel import MAX_STATES, DmNetwork, GaussianNetwork, NodeSet
+from .netmodel import MAX_STATES, DmNetwork, GaussianNetwork, NodeSet, popcounts
 
 _LN2 = math.log(2.0)
 
@@ -615,13 +615,14 @@ def gauss_logdet_general(m: np.ndarray) -> float | np.ndarray:
     return float(out) if m.ndim == 2 else out
 
 
-def gauss_cut_rates(net: GaussianNetwork, cuts: Sequence[NodeSet]) -> np.ndarray:
+def gauss_cut_rates(net: GaussianNetwork, masks: Sequence[int] | np.ndarray) -> np.ndarray:
     """Log-det flows (1/2) log2 det(I + (P/2) G G^T) of many cuts at once.
 
-    ``G`` is the receiver-side gain block of a cut: rows are receivers
-    outside the cut, columns senders inside it.  P/2 is the SNR after the
-    unit-variance compression noise doubles the unit receiver noise;
-    senders still transmit at their full power P.
+    ``masks`` holds one cut bitmask per cut.  ``G`` is the receiver-side
+    gain block of a cut: rows are receivers outside the cut, columns
+    senders inside it.  P/2 is the SNR after the unit-variance compression
+    noise doubles the unit receiver noise; senders still transmit at
+    their full power P.
 
     Cuts are grouped by size.  Each group's gain blocks are gathered with
     integer index arrays and the determinant is taken on the smaller Gram
@@ -630,18 +631,16 @@ def gauss_cut_rates(net: GaussianNetwork, cuts: Sequence[NodeSet]) -> np.ndarray
     per cut, in the order given.
     """
     n = net.n_nodes
-    groups: dict[int, list[int]] = {}
-    for i, cut in enumerate(cuts):
-        if cut.n_nodes != n:
-            raise SchemaError("cut universe does not match network")
-        if not 0 < len(cut) < n:
-            raise SchemaError("cut must be a nonempty proper subset of the nodes")
-        groups.setdefault(len(cut), []).append(i)
-    masks = np.array([cut.mask for cut in cuts], dtype=np.int64)
-    flows = np.empty(len(cuts))
-    for s, members in groups.items():
+    masks = np.asarray(masks, dtype=np.int64)
+    full = (1 << n) - 1
+    if np.any((masks <= 0) | (masks >= full)):
+        raise SchemaError(f"cut must be a nonempty proper subset of the {n}-node universe")
+    sizes = popcounts(masks)
+    flows = np.empty(len(masks))
+    for s in np.unique(sizes).tolist():
+        members = np.flatnonzero(sizes == s)
         for lo in range(0, len(members), _CUT_BATCH):
-            idx = np.array(members[lo : lo + _CUT_BATCH])
+            idx = members[lo : lo + _CUT_BATCH]
             inside = (masks[idx, None] >> np.arange(n)) & 1
             s_idx = np.nonzero(inside)[1].reshape(idx.size, s)
             c_idx = np.nonzero(inside == 0)[1].reshape(idx.size, n - s)
@@ -662,4 +661,6 @@ def gauss_cut_rate(net: GaussianNetwork, cut: NodeSet) -> float:
     A one-cut call into ``gauss_cut_rates``, which documents ``G`` and
     why the SNR is P/2 (compression noise, not a power split).
     """
-    return float(gauss_cut_rates(net, [cut])[0])
+    if cut.n_nodes != net.n_nodes:
+        raise SchemaError("cut universe does not match network")
+    return float(gauss_cut_rates(net, [cut.mask])[0])

@@ -320,11 +320,43 @@ class RateRegion:
         return sorted(self.constraints.items(), key=lambda kv: kv[0].mask)
 
 
+@dataclass(frozen=True, eq=False)
+class CutFamily:
+    """Cuts S (``masks``, ascending) and their eligible destinations
+    (``eligible``) as int64 bitmask arrays; iterating yields one
+    ``(NodeSet, NodeSet)`` pair per cut."""
+
+    n_nodes: int
+    masks: np.ndarray
+    eligible: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __iter__(self) -> Iterator[tuple[NodeSet, NodeSet]]:
+        n = self.n_nodes
+        for s, e in zip(self.masks.tolist(), self.eligible.tolist()):
+            yield NodeSet(n, s), NodeSet(n, e)
+
+
+def popcounts(masks: np.ndarray) -> np.ndarray:
+    """Node count |S| of every mask in an int64 array."""
+    return sum((masks >> k) & 1 for k in range(MAX_NODES))
+
+
+def node_set_names(n_nodes: int) -> list[str]:
+    """``str(NodeSet(n_nodes, m))`` for every mask m below 2**n_nodes."""
+    inner = [""]
+    for k in range(1, n_nodes + 1):
+        inner += [f"{p},{k}" if p else str(k) for p in inner]
+    return ["{" + p + "}" for p in inner]
+
+
 def enumerate_cutsets(
     n_nodes: int,
     multicast: NodeSet | None = None,
     dests: Sequence[NodeSet] | None = None,
-) -> list[tuple[NodeSet, NodeSet]]:
+) -> CutFamily:
     """Enumerate cuts S with their eligible destination nodes.
 
     The destinations come from one selector:
@@ -347,24 +379,19 @@ def enumerate_cutsets(
         raise SchemaError("give multicast= or dests=")
     if multicast is not None and multicast.n_nodes != n_nodes:
         raise SchemaError("multicast set universe does not match node count")
-    if multicast is None:
-        dests = _as_dest_tuple(n_nodes, dests)
 
-    out: list[tuple[NodeSet, NodeSet]] = []
-    for mask in range(1, 1 << n_nodes):
-        s = NodeSet(n_nodes, mask)
-        if multicast is not None:
-            wanted = multicast
-        else:
-            assert dests is not None
-            agg = 0
-            for k in s:
-                agg |= dests[k - 1].mask
-            wanted = NodeSet(n_nodes, agg)
-        eligible = s.complement() & wanted
-        if eligible:
-            out.append((s, eligible))
-    return out
+    masks = np.arange(1, 1 << n_nodes, dtype=np.int64)
+    if multicast is not None:
+        wanted = multicast.mask
+    else:
+        # OR of the destination sets of the nodes inside each cut.
+        wanted = np.zeros_like(masks)
+        for k, d in enumerate(_as_dest_tuple(n_nodes, dests)):
+            if d:
+                wanted |= np.where((masks >> k) & 1, d.mask, 0)
+    eligible = ~masks & wanted
+    keep = eligible != 0
+    return CutFamily(n_nodes, masks[keep], eligible[keep])
 
 
 def region_from_report(report: CutsetReport) -> RateRegion:

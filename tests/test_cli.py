@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import nncbound.cli as cli
 from nncbound.configio import load_network
 from nncbound.errors import EvaluationError
 from nncbound.gauss_bounds import gauss_cutset_outer, gauss_nnc_inner
-from nncbound.netmodel import NodeSet
+from nncbound.infocalc import gauss_cut_rate
+from nncbound.netmodel import GaussianNetwork, NodeSet
 
 from helpers import rand_channel
 
@@ -116,6 +118,16 @@ class TestSweepCommands:
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
         assert "4000.0 dB" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--r0", "2000", "r0"),
+        ("--g13", "1e200", "g13"),
+    ])
+    def test_irc_gain_or_link_overflow_exits_two(self, capsys, flag, value, named):
+        argv = ["irc-sweep", flag, value, "--steps", "2"] + SMALL
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert named in err and "overflow" in err and "Traceback" not in err
 
     def test_unknown_scheme(self, capsys):
         code, _, err = run_cli(capsys, ["irc-sweep", "--schemes", "AF"])
@@ -350,6 +362,20 @@ class TestEval:
         assert "x_sizes[0]" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("bound, payload, field", [
+        ("thm2", {"yhat_sizes": [1, 1.5, 1], "compression": [[1.0]] * 3}, "yhat_sizes[1]"),
+        ("cutset", {"joint_inputs": True}, "joint_inputs"),
+    ])
+    def test_malformed_design_file_exits_two(
+        self, capsys, tmp_path, relay_dm, bound, payload, field
+    ):
+        design = write_json(tmp_path, "design.json", payload)
+        code, out, err = run_cli(
+            capsys, ["eval", "--bound", bound, "--network", relay_dm, "--dist", design]
+        )
+        assert code == 2 and out == ""
+        assert field in err and "Traceback" not in err
+
     def test_bound_network_format_mismatch(self, capsys, gauss_file, relay_dm):
         code, _, err = run_cli(capsys, ["eval", "--bound", "thm2", "--network", gauss_file])
         assert code == 2
@@ -369,6 +395,130 @@ class TestEval:
         assert "cannot read" in err
 
 
+# ---------------------------------------------------------------------------
+# Gaussian CSV against a per-cut reference
+
+
+def _reference_cut(net, cut):
+    """(outer, inner_raw, budget) of one cut from its own log-det."""
+    n, s = net.n_nodes, len(cut)
+    flow = gauss_cut_rate(net, cut)
+    allowance = (min(s, n - s) / 2.0) * math.log2(2.0 * s)
+    return flow + allowance, flow - s / 2.0, s / 2.0 + allowance
+
+
+def _reference_csv(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _reference_eligible(net, cut, multicast):
+    wanted = multicast
+    if wanted is None:
+        wanted = NodeSet.empty(net.n_nodes)
+        for k in cut:
+            wanted = wanted | net.dests[k - 1]
+    return cut.complement() & wanted
+
+
+def _reference_gap_check(nets):
+    """gap-check CSV built one NodeSet at a time: every proper cut (all
+    nodes are destinations), str(NodeSet), repr(float), csv.writer."""
+    rows = []
+    max_gap = max_budget = -math.inf
+    all_ok = True
+    for trial, net in enumerate(nets):
+        n = net.n_nodes
+        for mask in range(1, (1 << n) - 1):
+            cut = NodeSet(n, mask)
+            outer, inner, budget = _reference_cut(net, cut)
+            gap = outer - inner
+            ok = gap <= budget + 1e-9
+            rows.append([str(trial), str(mask), str(cut), repr(outer), repr(inner),
+                         repr(gap), repr(budget), "true" if ok else "false"])
+            max_gap = max(max_gap, gap)
+            max_budget = max(max_budget, budget)
+            all_ok = all_ok and ok
+    rows.append(["summary", "", "", "", "", repr(max_gap), repr(max_budget),
+                 "true" if all_ok else "false"])
+    header = ["trial", "cut_mask", "cut_nodes", "outer", "inner_raw", "gap", "budget", "ok"]
+    return _reference_csv(header, rows)
+
+
+def _reference_eval(net, bound, multicast):
+    rows = []
+    for mask in range(1, 1 << net.n_nodes):
+        cut = NodeSet(net.n_nodes, mask)
+        if not _reference_eligible(net, cut, multicast):
+            continue
+        outer, inner, _ = _reference_cut(net, cut)
+        v = inner if bound == "gauss_inner" else outer
+        rows.append([str(mask), str(cut), repr(v), repr(max(v, 0.0))])
+    return _reference_csv(["cut_mask", "cut_nodes", "raw", "clamped"], rows)
+
+
+def _random_nets(n, trials, seed, power=10.0):
+    """The networks ``gap-check --random-n`` draws."""
+    rng = np.random.default_rng(seed)
+    nets = []
+    for _ in range(trials):
+        gains = rng.normal(size=(n, n))
+        np.fill_diagonal(gains, 0.0)
+        nets.append(GaussianNetwork(gains, power, tuple(NodeSet.full(n) for _ in range(n))))
+    return nets
+
+
+@pytest.fixture
+def per_node_gauss_file(tmp_path):
+    gains = np.random.default_rng(61).normal(size=(6, 6))
+    np.fill_diagonal(gains, 0.0)
+    return write_json(tmp_path, "gauss6.json", {
+        "format": "gaussian",
+        "gains": gains.tolist(),
+        "power": 2.5,
+        "dests": [[6], [5], [], [1, 2], [], [3]],
+    })
+
+
+class TestGaussianCsvOracle:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_random_gap_check_is_byte_identical(self, capsys, n):
+        for seed in (1, 2, 3):
+            code, out, err = run_cli(
+                capsys, ["gap-check", "--random-n", str(n), "--trials", "2",
+                         "--seed", str(seed)]
+            )
+            assert code == 0 and err == ""
+            assert out == _reference_gap_check(_random_nets(n, 2, seed))
+
+    def test_gap_check_network_file_is_byte_identical(self, capsys, per_node_gauss_file):
+        code, out, _ = run_cli(capsys, ["gap-check", "--network", per_node_gauss_file])
+        assert code == 0
+        net = load_network(per_node_gauss_file)
+        assert out == _reference_gap_check([net])
+        # the summary row is the maximum over the cut rows
+        summary = rows_of(out)[-1]
+        assert summary[0] == "summary" and summary[-1] == "true"
+
+    @pytest.mark.parametrize("bound", ["gauss_inner", "gauss_outer"])
+    @pytest.mark.parametrize("multicast", [None, "6", "2,3,5", "1,2,3,4,5,6"])
+    def test_eval_is_byte_identical(self, capsys, per_node_gauss_file, bound, multicast):
+        argv = ["eval", "--bound", bound, "--network", per_node_gauss_file]
+        if multicast is not None:
+            argv += ["--multicast", multicast]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        net = load_network(per_node_gauss_file)
+        mc = None if multicast is None else NodeSet.of(6, *map(int, multicast.split(",")))
+        assert out == _reference_eval(net, bound, mc)
+        # not all-to-all: the per-node dests leave some cuts out
+        if multicast is None:
+            assert len(rows_of(out)) - 1 < 2**6 - 2
+
+
 class TestPlumbing:
     def test_out_file_matches_stdout(self, capsys, tmp_path, gauss_file):
         argv = ["gap-check", "--network", gauss_file]
@@ -379,6 +529,17 @@ class TestPlumbing:
         assert code == 0
         assert out == ""
         assert dest.read_text(encoding="utf-8") == stdout_text
+
+    def test_csv_cells_quoted_as_csv_writer_quotes_them(self, capsys):
+        rows = [["a,b", 'say "hi"', "two\nlines", "cr\rin", "", " sp ", "{1,2}", "x"],
+                [None, True, 1.5, 3, float("nan"), -0.0, "plain", "{3}"]]
+        header = ["h1", "h2", "h3", "h4", "h5", "h6", "h7", "h8"]
+        cli._write_csv("-", header, [cli._fmt_row(r) for r in rows])
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([rows[0], ["", "true", "1.5", "3", "nan", "-0.0", "plain", "{3}"]])
+        assert capsys.readouterr().out == buf.getvalue()
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0

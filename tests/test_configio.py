@@ -324,6 +324,30 @@ class TestMalformedFields:
         with pytest.raises(SchemaError, match=field):
             load_network(dump(tmp_path, "net.json", payload))
 
+    @pytest.mark.parametrize("loader, payload, field", [
+        (load_distribution, {"yhat_sizes": [1, 1.5], "compression": [[1.0] * 4] * 2},
+         r"yhat_sizes\[1\]"),
+        (load_distribution, {"yhat_sizes": [True, 1], "compression": [[1.0] * 4] * 2},
+         r"yhat_sizes\[0\]"),
+        (load_distribution, {"mode": "superposition", "u_sizes": [1.5, 1],
+                             "input_pmfs": [[0.5, 0.5]] * 2}, r"u_sizes\[0\]"),
+        (load_distribution, {"mode": "superposition", "u_sizes": 2,
+                             "input_pmfs": [[0.5, 0.5]] * 2}, "u_sizes"),
+        (load_distribution, {"input_pmfs": 5}, "input_pmfs"),
+        (load_distribution, {"compression": 5}, "compression"),
+        (load_distribution, {"compression": {"0": [1.0] * 8}}, "compression"),
+        (load_input_family, {"joint_inputs": True}, "joint_inputs"),
+        (load_input_family, {"joint_inputs": None}, "joint_inputs"),
+        (load_input_family, {"joint_inputs": [{"a": 1}]}, r"joint_inputs\[0\]"),
+    ])
+    def test_bad_design_or_input_file(self, tmp_path, loader, payload, field):
+        net = DmNetwork(
+            (2, 2), (2, 2), rand_channel(np.random.default_rng(39), (2, 2), (2, 2)),
+            (NodeSet.of(2, 2), NodeSet.empty(2)),
+        )
+        with pytest.raises(SchemaError, match=field):
+            loader(dump(tmp_path, "d.json", payload), net)
+
     def test_integral_float_nodes_accepted(self, tmp_path):
         net = load_network(dump(tmp_path, "n.json", _noiseless(
             {"sender": 1.0, "receiver": 2.0}, n_nodes=2.0, dests=[[2.0], []],

@@ -84,31 +84,36 @@ class TestGapIdentity:
         n = 4
         net = rand_gauss_net(rng, n, 2.0)
         cert = gap_certificate(net)
-        masks = {e.cutset.mask for e in cert}
+        masks = set(cert.masks.tolist())
         assert masks == set(range(1, 2**n - 1))
-        for e in cert:
-            assert e.gap == pytest.approx(e.budget, abs=1e-12)
-            assert e.gap == pytest.approx(e.outer - e.inner_raw, abs=1e-15)
-            assert e.ok
+        for i in range(len(cert)):
+            assert cert.gap[i] == pytest.approx(cert.budget[i], abs=1e-12)
+            assert cert.gap[i] == pytest.approx(
+                cert.outer[i] - cert.inner_raw[i], abs=1e-15
+            )
+            assert cert.ok[i]
 
     def test_certificate_matches_per_cut_closed_forms_exactly(self):
         rng = np.random.default_rng(25)
         net = rand_gauss_net(rng, 6, 10.0)
         cert = gap_certificate(net)
-        cuts = [e.cutset for e in cert]
-        assert gauss_cut_bounds(net, cuts) == [(e.outer, e.inner_raw) for e in cert]
-        for e in cert:
-            assert e.outer == gauss_cutset_outer(net, e.cutset)
-            assert e.inner_raw == gauss_nnc_inner(net, e.cutset)
-            assert e.gap == e.outer - e.inner_raw
-            assert e.budget == cut_size_budget(e.cutset)
+        outer, inner, budget = gauss_cut_bounds(net, cert.masks)
+        assert outer.tolist() == cert.outer.tolist()
+        assert inner.tolist() == cert.inner_raw.tolist()
+        assert budget.tolist() == cert.budget.tolist()
+        for i, mask in enumerate(cert.masks.tolist()):
+            cut = NodeSet(6, mask)
+            assert cert.outer[i] == gauss_cutset_outer(net, cut)
+            assert cert.inner_raw[i] == gauss_nnc_inner(net, cut)
+            assert cert.gap[i] == cert.outer[i] - cert.inner_raw[i]
+            assert cert.budget[i] == cut_size_budget(cut)
 
     def test_certificate_multicast_restricts_cuts(self):
         rng = np.random.default_rng(24)
         n = 3
         net = rand_gauss_net(rng, n, 1.0)
         cert = gap_certificate(net, multicast=NodeSet.of(n, 3))
-        masks = {e.cutset.mask for e in cert}
+        masks = set(cert.masks.tolist())
         assert masks == {0b001, 0b010, 0b011}
 
     def test_certificate_needs_destination(self):

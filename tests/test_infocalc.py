@@ -447,6 +447,10 @@ def _all_cuts(n):
     return [NodeSet(n, mask) for mask in range(1, 2**n - 1)]
 
 
+def _masks(cuts):
+    return np.array([cut.mask for cut in cuts], dtype=np.int64)
+
+
 def _receiver_side_flow(gains, power, cut):
     """Independent oracle: slogdet of I + (P/2) G G^T with G the
     receiver-side block (receivers outside the cut, senders inside)."""
@@ -469,7 +473,7 @@ class TestGaussCutRates:
         rng = np.random.default_rng(28 + n)
         net = self._net(rng, n, 10.0)
         cuts = _all_cuts(n)
-        got = gauss_cut_rates(net, cuts)
+        got = gauss_cut_rates(net, _masks(cuts))
         assert got.shape == (len(cuts),)
         sides = set()
         for cut, v in zip(cuts, got):
@@ -484,7 +488,7 @@ class TestGaussCutRates:
         rng = np.random.default_rng(29)
         net = self._net(rng, 7, 3.0)
         cuts = _all_cuts(7)
-        batched = gauss_cut_rates(net, cuts)
+        batched = gauss_cut_rates(net, _masks(cuts))
         for cut, v in zip(cuts, batched):
             assert gauss_cut_rate(net, cut) == v
 
@@ -493,9 +497,9 @@ class TestGaussCutRates:
         rng = np.random.default_rng(30)
         net = self._net(rng, 12, 10.0)
         cuts = _all_cuts(12)
-        base = gauss_cut_rates(net, cuts)
+        base = gauss_cut_rates(net, _masks(cuts))
         perm = rng.permutation(len(cuts))
-        shuffled = gauss_cut_rates(net, [cuts[i] for i in perm])
+        shuffled = gauss_cut_rates(net, _masks(cuts)[perm])
         np.testing.assert_array_equal(shuffled, base[perm])
 
     def test_no_cuts_gives_empty_array(self):
@@ -505,6 +509,8 @@ class TestGaussCutRates:
     def test_any_improper_cut_rejected(self):
         net = self._net(np.random.default_rng(32), 3, 1.0)
         with pytest.raises(SchemaError, match="nonempty proper subset"):
-            gauss_cut_rates(net, [NodeSet.of(3, 1), NodeSet.full(3)])
+            gauss_cut_rates(net, _masks([NodeSet.of(3, 1), NodeSet.full(3)]))
         with pytest.raises(SchemaError, match="universe"):
-            gauss_cut_rates(net, [NodeSet.of(3, 1), NodeSet.of(4, 1)])
+            gauss_cut_rates(net, _masks([NodeSet.of(3, 1), NodeSet.of(4, 4)]))
+        with pytest.raises(SchemaError, match="universe"):
+            gauss_cut_rate(net, NodeSet.of(4, 1))

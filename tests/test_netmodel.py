@@ -15,6 +15,8 @@ from nncbound.netmodel import (
     RateRegion,
     enumerate_cutsets,
     max_weighted_sum,
+    node_set_names,
+    popcounts,
     region_from_report,
     subsets_between,
 )
@@ -115,7 +117,7 @@ class TestEnumerateCutsets:
     def test_multicast_matches_brute_force(self):
         n = 4
         d = NodeSet.of(n, 2, 4)
-        got = enumerate_cutsets(n, multicast=d)
+        got = list(enumerate_cutsets(n, multicast=d))
         expect = []
         for mask in range(1, 1 << n):
             s = NodeSet(n, mask)
@@ -148,7 +150,7 @@ class TestEnumerateCutsets:
         # multicast replaces dests when both are given
         n = 3
         d = NodeSet.of(n, 1)
-        got = enumerate_cutsets(n, multicast=d, dests=dests_tuple(n, [], [3], []))
+        got = list(enumerate_cutsets(n, multicast=d, dests=dests_tuple(n, [], [3], [])))
         expect = []
         for mask in range(1, 1 << n):
             s = NodeSet(n, mask)
@@ -160,6 +162,69 @@ class TestEnumerateCutsets:
     def test_universe_mismatch(self):
         with pytest.raises(SchemaError):
             enumerate_cutsets(3, multicast=NodeSet.of(4, 1))
+
+
+class TestCutFamily:
+    """The mask arrays against a loop over every mask, one bit at a time."""
+
+    @staticmethod
+    def _brute(n, wanted_of):
+        masks, eligible = [], []
+        for mask in range(1, 1 << n):
+            elig = ~mask & wanted_of(mask) & ((1 << n) - 1)
+            if elig:
+                masks.append(mask)
+                eligible.append(elig)
+        return masks, eligible
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_multicast_arrays_match_bit_loop(self, n):
+        full = (1 << n) - 1
+        for d in sorted({0, full, 1, 1 << (n - 1), 0b101 & full, full >> 1}):
+            fam = enumerate_cutsets(n, multicast=NodeSet(n, d))
+            masks, eligible = self._brute(n, lambda mask: d)
+            assert fam.masks.dtype == np.int64 and fam.eligible.dtype == np.int64
+            assert fam.masks.tolist() == masks
+            assert fam.eligible.tolist() == eligible
+            assert len(fam) == len(masks)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_per_node_dests_arrays_match_bit_loop(self, n):
+        rng = np.random.default_rng(700 + n)
+        dmasks = [int(rng.integers(0, 1 << n)) if rng.random() < 0.7 else 0
+                  for _ in range(n)]
+        dests = tuple(NodeSet(n, m) for m in dmasks)
+
+        def wanted(mask):
+            agg = 0
+            for k in range(n):
+                if mask >> k & 1:
+                    agg |= dmasks[k]
+            return agg
+
+        fam = enumerate_cutsets(n, dests=dests)
+        masks, eligible = self._brute(n, wanted)
+        assert fam.masks.tolist() == masks
+        assert fam.eligible.tolist() == eligible
+        # iterating gives the NodeSet pairs of the per-cut enumeration
+        assert list(fam) == [(NodeSet(n, m), NodeSet(n, e)) for m, e in zip(masks, eligible)]
+
+    def test_sixteen_nodes_count(self):
+        fam = enumerate_cutsets(16, multicast=NodeSet.full(16))
+        assert len(fam) == 65534
+        assert fam.masks[0] == 1 and fam.masks[-1] == (1 << 16) - 2
+
+    def test_iteration_is_repeatable(self):
+        fam = enumerate_cutsets(4, dests=dests_tuple(4, [3], [], [1, 4], []))
+        assert list(fam) == list(fam)
+        assert bool(fam)
+        assert not enumerate_cutsets(3, multicast=NodeSet.empty(3))
+
+    def test_popcounts_and_names(self):
+        masks = np.arange(0, 1 << 10, dtype=np.int64)
+        assert popcounts(masks).tolist() == [bin(m).count("1") for m in range(1 << 10)]
+        for n in range(0, 11):
+            assert node_set_names(n) == [str(NodeSet(n, m)) for m in range(1 << n)]
 
 
 # ---------------------------------------------------------------------------
