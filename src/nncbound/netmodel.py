@@ -242,6 +242,9 @@ class GaussianNetwork:
             raise SchemaError("gains must be finite")
         if not (math.isfinite(self.power) and self.power >= 0):
             raise SchemaError(f"power must be finite and >= 0, got {self.power!r}")
+        if not math.isfinite(self.power * sum(x * x for x in g.ravel().tolist())):
+            # this bounds every entry of the Gram product P G G^T
+            raise SchemaError("gains are too large: power * sum(gains**2) overflows")
         object.__setattr__(self, "gains", g)
         object.__setattr__(self, "dests", _as_dest_tuple(n, self.dests))
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,17 @@ import pytest
 import nncbound.cli as cli
 from nncbound.configio import load_network
 from nncbound.errors import EvaluationError
-from nncbound.gauss_bounds import gauss_cutset_outer, gauss_nnc_inner
+from nncbound.gauss_bounds import (
+    IRC_SCHEMES,
+    TWRC_SCHEMES,
+    IrcConfig,
+    TwrcConfig,
+    db_to_power,
+    gauss_cutset_outer,
+    gauss_nnc_inner,
+    irc_rates,
+    twrc_rates,
+)
 from nncbound.infocalc import gauss_cut_rate
 from nncbound.netmodel import GaussianNetwork, NodeSet
 
@@ -129,6 +140,45 @@ class TestSweepCommands:
         assert code == 2 and out == ""
         assert named in err and "overflow" in err and "Traceback" not in err
 
+    def test_twrc_huge_gamma_caps_gains(self, capsys):
+        # the relay gains overflow a float and are capped, not a traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, ["twrc-sweep", "--gamma", "10000", "--steps", "2"])
+        assert code == 0 and err == ""
+        assert len(rows_of(out)) == 3
+
+    @pytest.mark.parametrize("argv, column", [
+        (["irc-sweep", "--steps", "7"], "P_dB"),
+        (["irc-sweep", "--steps", "7", "--r0", "0"], "P_dB"),
+        (["twrc-sweep", "--steps", "7", "--d-min", "0.01", "--d-max", "0.99"], "d"),
+    ])
+    def test_every_row_equals_its_one_row_call(self, capsys, argv, column):
+        # all rows are maximized in lockstep; no row may see another row
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        header, *rows = rows_of(out)
+        irc = argv[0] == "irc-sweep"
+        for row in rows:
+            cells = dict(zip(header, row))
+            x = float(cells[column])
+            if irc:
+                r0 = 0.0 if "--r0" in argv else 1.0
+                cfg = IrcConfig(0.1, 0.5, 1.0, 0.5, 0.5, 1.0, r0, db_to_power(x))
+                for scheme in IRC_SCHEMES:
+                    res = irc_rates(cfg, scheme)
+                    name = scheme.replace("-", "_")
+                    assert cells[f"sum_{name}"] == cli._fmt(res.sum_rate)
+                    assert cells[f"sigma2_{name}"] == cli._fmt(res.sigma2)
+                    assert res.fallback == (scheme == "CF" and r0 == 0.0)
+            else:
+                cfg = TwrcConfig(x, 3.0, 10.0)
+                for scheme in TWRC_SCHEMES:
+                    res = twrc_rates(cfg, scheme)
+                    key = "alpha_AF" if scheme == "AF" else f"sigma2_{scheme}"
+                    assert cells[f"sum_{scheme}"] == cli._fmt(res.sum_rate)
+                    assert cells[key] == cli._fmt(res.param)
+
     def test_unknown_scheme(self, capsys):
         code, _, err = run_cli(capsys, ["irc-sweep", "--schemes", "AF"])
         assert code == 2
@@ -164,6 +214,22 @@ class TestGapCheck:
         assert all(line.endswith(",true") for line in body)
         summary = out.splitlines()[-1].split(",")
         assert summary[-1] == "true"
+
+    @pytest.mark.parametrize("argv", [
+        ["gap-check", "--network"],
+        ["eval", "--bound", "gauss_inner", "--network"],
+    ])
+    def test_gram_overflow_exits_two(self, capsys, tmp_path, argv):
+        # finite gains whose Gram product overflows are rejected on load
+        path = write_json(tmp_path, "big.json", {
+            "format": "gaussian",
+            "gains": [[0, 1e200, 1], [1, 0, 1], [1, 1, 0]],
+            "power": 1,
+            "dests": [[2, 3], [1, 3], [1, 2]],
+        })
+        code, out, err = run_cli(capsys, argv + [path])
+        assert code == 2 and out == ""
+        assert "gains" in err and "Traceback" not in err
 
     def test_selector_required(self, capsys, gauss_file):
         code, _, err = run_cli(capsys, ["gap-check"])
@@ -558,7 +624,7 @@ class TestPlumbing:
     def test_evaluation_error_exits_three(self, capsys, monkeypatch):
         def boom(*a, **k):
             raise EvaluationError("synthetic failure")
-        monkeypatch.setattr(cli, "twrc_rates", boom)
+        monkeypatch.setattr(cli, "twrc_sweep_rates", boom)
         code, _, err = run_cli(capsys, ["twrc-sweep", "--steps", "1"])
         assert code == 3
         assert "synthetic failure" in err

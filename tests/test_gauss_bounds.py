@@ -6,6 +6,7 @@ from scipy.optimize import brentq
 
 from nncbound.errors import EvaluationError, SchemaError
 from nncbound.gauss_bounds import (
+    GAIN_CAP,
     IrcConfig,
     SweepGrid,
     TwrcConfig,
@@ -131,17 +132,15 @@ class TestSweepGrid:
         assert v[0] == pytest.approx(0.5)
         assert v[-1] == pytest.approx(8.0)
         assert np.all(np.diff(v) > 0)
+        # per-row bounds give one row of samples each, as one-row calls do
+        rows = grid.values(np.array([0.5, 3.0]), np.array([8.0, 3.0]))
+        assert rows.shape == (2, 5)
+        assert np.array_equal(rows[0], v)
+        assert rows[1] == pytest.approx(3.0)
 
     def test_single_point_grid(self):
         grid = SweepGrid("alpha", lo=2.0, hi=9.0, points=1)
         assert list(grid.values()) == [2.0]
-
-    def test_replace_bounds_keeps_other_fields(self):
-        grid = SweepGrid("sigma2", points=17, refine_iters=3)
-        moved = grid.replace_bounds(1.0, 2.0)
-        assert (moved.lo, moved.hi) == (1.0, 2.0)
-        assert (moved.points, moved.refine_iters) == (17, 3)
-        assert moved.param == "sigma2"
 
     def test_validation(self):
         with pytest.raises(SchemaError):
@@ -155,30 +154,35 @@ class TestSweepGrid:
 
 
 class TestScalarMaximize:
+    # each case is a one-row call of the lockstep array maximizer
+
     def test_finds_smooth_peak(self):
         grid = SweepGrid("x", lo=1e-2, hi=1e2, points=200, refine_iters=80)
-        arg, val = scalar_maximize(lambda x: -((math.log(x) - math.log(3.0)) ** 2), grid)
-        assert arg == pytest.approx(3.0, rel=1e-6)
-        assert val == pytest.approx(0.0, abs=1e-10)
+        arg, val = scalar_maximize(
+            lambda x: -((np.log(x) - math.log(3.0)) ** 2), grid, grid.lo, grid.hi
+        )
+        assert arg.shape == val.shape == (1,)
+        assert arg[0] == pytest.approx(3.0, rel=1e-6)
+        assert val[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_constant_objective_returns_smallest_point(self):
         grid = SweepGrid("x", lo=0.5, hi=32.0, points=25, refine_iters=40)
-        arg, val = scalar_maximize(lambda x: 7.25, grid)
-        assert val == 7.25
-        assert arg == pytest.approx(0.5)
+        arg, val = scalar_maximize(lambda x: np.full_like(x, 7.25), grid, grid.lo, grid.hi)
+        assert val[0] == 7.25
+        assert arg[0] == pytest.approx(0.5)
 
     def test_all_infeasible_raises(self):
         grid = SweepGrid("x", lo=1.0, hi=2.0, points=8)
         with pytest.raises(EvaluationError):
-            scalar_maximize(lambda x: float("-inf"), grid)
+            scalar_maximize(lambda x: np.full_like(x, -np.inf), grid, grid.lo, grid.hi)
 
     def test_nan_treated_as_infeasible(self):
         grid = SweepGrid("x", lo=0.1, hi=10.0, points=50, refine_iters=20)
         def f(x):
-            return float("nan") if x < 1.0 else -abs(x - 2.0)
-        arg, val = scalar_maximize(f, grid)
-        assert arg == pytest.approx(2.0, rel=1e-4)
-        assert val == pytest.approx(0.0, abs=1e-4)
+            return np.where(x < 1.0, np.nan, -np.abs(x - 2.0))
+        arg, val = scalar_maximize(f, grid, grid.lo, grid.hi)
+        assert arg[0] == pytest.approx(2.0, rel=1e-4)
+        assert val[0] == pytest.approx(0.0, abs=1e-4)
 
     def test_never_below_best_grid_sample(self):
         rng = np.random.default_rng(24)
@@ -186,11 +190,48 @@ class TestScalarMaximize:
         for _ in range(5):
             c = rng.normal(size=3)
             def f(x, c=c):
-                lx = math.log(x)
-                return c[0] * math.sin(3 * lx) + c[1] * lx - c[2] * lx * lx
-            best_raw = max(f(x) for x in grid.values())
-            _, val = scalar_maximize(f, grid)
-            assert val >= best_raw - 1e-15
+                lx = np.log(x)
+                return c[0] * np.sin(3 * lx) + c[1] * lx - c[2] * lx * lx
+            best_raw = max(f(grid.values()))
+            _, val = scalar_maximize(f, grid, grid.lo, grid.hi)
+            assert val[0] >= best_raw - 1e-15
+
+    def test_rows_with_own_bounds_match_one_row_calls(self):
+        # rows in lockstep never interact: each row of a multi-row call is
+        # the one-row call on that row's bounds and inputs, bit for bit
+        grid = SweepGrid("x", points=40, refine_iters=30)
+        peaks = np.array([0.3, 2.0, 50.0, 7.0])
+        lo = np.array([1e-2, 1.0, 60.0, 1e-3])
+        hi = np.array([1.0, 1e3, 1e4, 7.0])
+
+        def objective(peak):
+            return lambda x: -((np.log(x) - np.log(peak)) ** 2)
+
+        args, vals = scalar_maximize(objective(peaks[:, None]), grid, lo, hi)
+        for i in range(len(peaks)):
+            a, v = scalar_maximize(objective(peaks[i]), grid, lo[i], hi[i])
+            assert (args[i], vals[i]) == (a[0], v[0])
+        assert args[0] == pytest.approx(0.3, rel=1e-6)
+        assert args[2] == 60.0  # the peak lies below this row's lo
+        assert args[3] == pytest.approx(7.0, rel=1e-9)
+
+    def test_inactive_rows_are_skipped_and_an_infeasible_row_raises(self):
+        grid = SweepGrid("x", points=30, refine_iters=10)
+        lo, hi = np.array([1.0, 1.0, 1.0]), np.array([4.0, 4.0, 4.0])
+
+        def f(x):  # row 1 is infeasible everywhere
+            return np.where(np.arange(3)[:, None] == 1, -np.inf, -x)
+
+        with pytest.raises(EvaluationError, match="row 1"):
+            scalar_maximize(f, grid, lo, hi)
+        args, vals = scalar_maximize(f, grid, lo, hi, active=[True, False, True])
+        assert math.isnan(args[1]) and math.isnan(vals[1])
+        assert (args[0], vals[0], args[2], vals[2]) == (1.0, -1.0, 1.0, -1.0)
+
+    def test_bad_row_bounds_rejected(self):
+        grid = SweepGrid("x", points=5)
+        with pytest.raises(SchemaError, match="row 1"):
+            scalar_maximize(lambda x: -x, grid, [1.0, 0.0], [2.0, 2.0])
 
 
 class TestTwrc:
@@ -210,6 +251,13 @@ class TestTwrc:
         assert cfg.g23 == pytest.approx(0.75 ** -1.5)
         assert not cfg.degenerate
         assert TwrcConfig(d=0.0, gamma=3.0, power=1.0).degenerate
+
+    def test_overflowing_gain_is_capped(self):
+        # 0.3 ** -5000 overflows a float; the gain lands on the cap instead
+        cfg = TwrcConfig(0.3, 10000, 10)
+        assert cfg.g13 == GAIN_CAP
+        assert cfg.g23 == GAIN_CAP
+        assert cfg.degenerate
 
     def test_network_layout(self):
         cfg = TwrcConfig(d=0.2, gamma=2.0, power=4.0)
@@ -337,6 +385,7 @@ class TestIrc:
             _irc_cf_cap,
             _irc_hf_cap,
             _irc_quantization_threshold,
+            _irc_terms,
             _swap,
         )
         for _ in range(10):
@@ -352,9 +401,10 @@ class TestIrc:
             )
             # destination 4 on cfg, destination 5 on the swapped topology
             for c in (cfg, _swap(cfg)):
-                t = _irc_quantization_threshold(c)
-                assert _irc_hf_cap(c, t) == pytest.approx(
-                    _irc_cf_cap(c, t), abs=1e-9
+                terms = _irc_terms(c)
+                t = _irc_quantization_threshold(terms)
+                assert _irc_hf_cap(terms, t) == pytest.approx(
+                    _irc_cf_cap(terms, t), abs=1e-9
                 )
 
     def test_zero_relay_rate_falls_back_to_direct_links(self):

@@ -296,6 +296,16 @@ class TestGaussianNetwork:
         with pytest.raises(SchemaError):
             GaussianNetwork(np.eye(2), -1.0, dests_tuple(2, [], []))
 
+    def test_gram_overflow_rejected(self):
+        # finite gains whose Gram product P G G^T overflows
+        g = np.ones((3, 3))
+        g[0, 1] = 1e200
+        with pytest.raises(SchemaError, match="gains"):
+            GaussianNetwork(g, 1.0, dests_tuple(3, [], [], []))
+        with pytest.raises(SchemaError, match="gains"):
+            GaussianNetwork(np.ones((2, 2)), 1e308, dests_tuple(2, [], []))
+        GaussianNetwork(np.full((2, 2), 1e150), 1.0, dests_tuple(2, [], []))
+
 
 # ---------------------------------------------------------------------------
 # regions
